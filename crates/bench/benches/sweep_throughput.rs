@@ -1,19 +1,26 @@
-//! Warm-sweep throughput: batched vs per-event execution.
+//! Warm-sweep throughput: the batched simulator path vs the per-event
+//! reference.
+//!
+//! The simulator has one delivery path; the per-event arm runs the same
+//! replay with the workloads and the scheme wrapped in the
+//! [`PerEvent`] reference adapter, which hides the batched overrides
+//! (`TraceWorkload::fill_batch`, `SNucaScheme::access_batch`) so every
+//! event goes through `next_event` and `access` one at a time.
 //!
 //! Criterion mode (`cargo bench -p wp-bench --bench sweep_throughput`)
-//! times a warm single-app replay under both execution modes.
+//! times a warm single-app replay under both arms.
 //!
 //! Smoke mode (`cargo bench -p wp-bench --bench sweep_throughput -- --json`)
 //! runs the full warm-sweep measurement and writes the machine-readable
 //! `BENCH_sweep.json` (override the path with `WP_BENCH_JSON`): one cold
 //! cell (live 16-core mix capture) and seventeen warm cells over the
 //! resulting trace — the all-streams mix replay plus one per-stream
-//! breakdown replay per app — each timed under the per-event and the
-//! batched path. Every cell's `RunSummary` is asserted bit-identical
-//! across modes before its timing counts, so the speedups cannot come
-//! from divergent simulation.
+//! breakdown replay per app — each timed under the per-event reference
+//! and the batched path. Every cell's `RunSummary` is asserted
+//! bit-identical across arms before its timing counts, so the speedups
+//! cannot come from divergent simulation.
 //!
-//! The per-event path pays the seed architecture's cost on mix captures:
+//! The per-event reference pays the seed architecture's cost on mix captures:
 //! every streaming reader decodes all N streams to deliver its own. The
 //! batched path decodes each chunk once (all-streams) or follows one
 //! stream and frame-walks the rest (breakdown) — that asymmetry, plus
@@ -21,13 +28,15 @@
 //! `warm_sweep_speedup` (geometric mean of per-cell speedups, the same
 //! aggregation the repo's figures use).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
-use whirlpool_repro::harness::{sixteen_core_config, Experiment, SchemeKind};
+use whirlpool_repro::harness::{
+    four_core_config, make_scheme, sixteen_core_config, Experiment, SchemeKind,
+};
 use wp_bench::gmean;
-use wp_sim::ExecMode;
+use wp_sim::{trace_bundle, PerEvent, RunSummary, SystemConfig};
 use wp_trace::TraceInfo;
 
 /// Four distinct footprints (Fig. 2 spread), repeated over 16 cores.
@@ -40,6 +49,51 @@ fn temp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("wp-sweep-bench-{}-{tag}.wpt", std::process::id()))
 }
 
+/// Replays stream `stream` of `cap` — or, with `None`, every stream it
+/// scans — on `sys` under LRU, through the batched simulator path or
+/// (`per_event`) the reference adapter. `budgets` apply to both arms.
+fn replay(
+    cap: &Path,
+    stream: Option<u16>,
+    sys: &SystemConfig,
+    per_event: bool,
+    budgets: Option<(u64, u64)>,
+) -> RunSummary {
+    let kind = SchemeKind::SNucaLru;
+    let mut exp = if per_event {
+        let ids = match stream {
+            Some(k) => vec![k],
+            None => TraceInfo::scan(cap)
+                .expect("scan capture")
+                .streams
+                .iter()
+                .map(|s| s.meta.id)
+                .collect(),
+        };
+        let bundles = ids
+            .into_iter()
+            .map(|k| PerEvent::bundle(trace_bundle(cap, k, false).expect("open stream")))
+            .collect();
+        Experiment::bundles(kind, bundles)
+    } else {
+        match stream {
+            Some(k) => Experiment::replay(kind, cap).stream(k),
+            None => Experiment::replay(kind, cap).all_streams(),
+        }
+    };
+    if let Some((w, m)) = budgets {
+        exp = exp.warmup(w).measure(m);
+    }
+    let exp = exp.system(sys.clone());
+    if per_event {
+        exp.run_with_scheme(PerEvent(make_scheme(kind, sys)))
+            .map(|(run, _)| run.summary)
+    } else {
+        exp.run()
+    }
+    .expect("replay")
+}
+
 fn bench(c: &mut Criterion) {
     let path = temp("criterion");
     Experiment::single(SchemeKind::SNucaLru, "delaunay")
@@ -48,19 +102,10 @@ fn bench(c: &mut Criterion) {
         .capture_to(&path)
         .run()
         .expect("capture");
-    for (label, mode) in [
-        ("per_event", ExecMode::PerEvent),
-        ("batched", ExecMode::Batched),
-    ] {
+    let sys = four_core_config();
+    for (label, per_event) in [("per_event", true), ("batched", false)] {
         c.bench_function(&format!("warm_replay/{label}"), |b| {
-            b.iter(|| {
-                Experiment::replay(SchemeKind::SNucaLru, &path)
-                    .warmup(100_000)
-                    .measure(400_000)
-                    .exec_mode(mode)
-                    .run()
-                    .expect("replay")
-            })
+            b.iter(|| replay(&path, Some(0), &sys, per_event, Some((100_000, 400_000))))
         });
     }
     let _ = std::fs::remove_file(&path);
@@ -93,14 +138,14 @@ impl Cell {
     }
 }
 
-/// Times one warm replay cell under both modes, asserting the summaries
+/// Times one warm replay cell under both arms, asserting the summaries
 /// are bit-identical before the timing is trusted.
-fn run_cell(name: &str, events: u64, make: impl Fn(ExecMode) -> Experiment) -> Cell {
+fn run_cell(name: &str, events: u64, run: impl Fn(bool) -> RunSummary) -> Cell {
     let t0 = Instant::now();
-    let per_event = make(ExecMode::PerEvent).run().expect("per-event replay");
+    let per_event = run(true);
     let per_event_ns = t0.elapsed().as_nanos();
     let t0 = Instant::now();
-    let batched = make(ExecMode::Batched).run().expect("batched replay");
+    let batched = run(false);
     let batched_ns = t0.elapsed().as_nanos();
     assert_eq!(
         per_event.to_json(),
@@ -140,22 +185,16 @@ fn smoke() {
     // Warm cells: the all-streams mix replay, then one per-stream
     // breakdown replay per app (per-event readers re-decode all 16
     // streams for each of these; batched readers follow one).
-    let mut cells = vec![run_cell("all_streams", total, |mode| {
-        Experiment::replay(SchemeKind::SNucaLru, &cap)
-            .all_streams()
-            .system(sixteen_core_config())
-            .exec_mode(mode)
+    let (sys16, sys4) = (sixteen_core_config(), four_core_config());
+    let mut cells = vec![run_cell("all_streams", total, |per_event| {
+        replay(&cap, None, &sys16, per_event, None)
     })];
     for s in &info.streams {
         let k = s.meta.id;
         cells.push(run_cell(
             &format!("stream{k}:{}", s.meta.name),
             s.events,
-            |mode| {
-                Experiment::replay(SchemeKind::SNucaLru, &cap)
-                    .stream(k)
-                    .exec_mode(mode)
-            },
+            |per_event| replay(&cap, Some(k), &sys4, per_event, None),
         ));
     }
     let _ = std::fs::remove_file(&cap);

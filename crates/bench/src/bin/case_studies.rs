@@ -11,9 +11,15 @@ fn main() {
             .collect()
     }) {
         let (warm, measure) = run_budget(&app);
-        let snuca = run_single_app_budgeted(SchemeKind::SNucaLru, &app, Classification::None);
-        let jig = run_single_app_budgeted(SchemeKind::Jigsaw, &app, Classification::None);
-        let wp = run_single_app_budgeted(SchemeKind::Whirlpool, &app, Classification::Manual);
+        let run = |kind, classification| {
+            Experiment::single(kind, &app)
+                .classification(classification)
+                .run()
+                .unwrap_or_else(|e| panic!("running '{app}' failed: {e}"))
+        };
+        let snuca = run(SchemeKind::SNucaLru, Classification::None);
+        let jig = run(SchemeKind::Jigsaw, Classification::None);
+        let wp = run(SchemeKind::Whirlpool, Classification::Manual);
         println!(
             "{app:10} (w{}M m{}M) SNUCA {:>9.0}kcy {:>6.1}nJ/KI m{:>5.2} | Jig {:>9.0}kcy {:>6.1} m{:>5.2} b{:>4.1} | Wp {:>9.0}kcy {:>6.1} m{:>5.2} b{:>4.1} | WvJ {:+.1}%p {:+.1}%e | WvS {:+.1}%p {:+.1}%e",
             warm/1_000_000, measure/1_000_000,

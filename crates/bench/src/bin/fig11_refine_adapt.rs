@@ -1,9 +1,9 @@
 //! Fig. 11: refine's irregular phase changes and how Whirlpool adapts its
 //! allocations over time (the Fig. 11a allocation trace).
 
-use whirlpool::WhirlpoolScheme;
 use whirlpool_repro::harness::*;
 use wp_bench::measure_budget;
+use wp_sim::LlcScheme;
 
 fn main() {
     let sys = four_core_config();
@@ -11,7 +11,7 @@ fn main() {
         .classification(Classification::Manual)
         .measure(measure_budget("refine"))
         .system(sys.clone())
-        .run_with_scheme(WhirlpoolScheme::new(sys.clone()))
+        .run_with_scheme(whirlpool::scheme(sys.clone()))
         .unwrap_or_else(|e| panic!("refine under Whirlpool failed: {e}"));
     let out = run.summary;
 
@@ -23,18 +23,18 @@ fn main() {
         "{:>9} {:>10} {:>10} {:>10} {:>8}",
         "cycle(M)", "vertices", "triangles", "misc", "thread"
     );
-    let hist = scheme.runtime().reconfig_history();
-    for (cyc, allocs) in hist {
+    let hist = scheme.reconfig_log();
+    for ev in &hist {
         let find = |name: &str| {
-            allocs
+            ev.pools
                 .iter()
-                .find(|(l, _, _)| l == name)
-                .map(|(_, g, b)| format!("{g}{}", if *b { "B" } else { "" }))
+                .find(|p| p.pool == name)
+                .map(|p| format!("{}{}", p.new_granules, if p.bypassed { "B" } else { "" }))
                 .unwrap_or_else(|| "-".into())
         };
         println!(
             "{:>9.1} {:>10} {:>10} {:>10} {:>8}",
-            *cyc as f64 / 1e6,
+            ev.cycle as f64 / 1e6,
             find("vertices"),
             find("triangles"),
             find("misc"),
@@ -44,7 +44,8 @@ fn main() {
     // Changes in the vertices allocation mark adaptation events.
     let vertices_series: Vec<usize> = hist
         .iter()
-        .filter_map(|(_, a)| a.iter().find(|(l, _, _)| l == "vertices").map(|x| x.1))
+        .filter_map(|ev| ev.pools.iter().find(|p| p.pool == "vertices"))
+        .map(|p| p.new_granules)
         .collect();
     let changes = vertices_series.windows(2).filter(|w| w[0] != w[1]).count();
     println!(

@@ -14,27 +14,18 @@ fn main() {
         "app", "train profile", "ref profile"
     );
     for app in ["leslie", "omnet", "xalanc", "setCover", "delaunay", "mcf"] {
-        let measure = measure_budget(app);
-        let jig = run_single_app(SchemeKind::Jigsaw, app, Classification::None, measure);
+        let run = |kind, classification| {
+            Experiment::single(kind, app)
+                .classification(classification)
+                .measure(measure_budget(app))
+                .run()
+                .unwrap_or_else(|e| panic!("running '{app}' failed: {e}"))
+        };
+        let jig = run(SchemeKind::Jigsaw, Classification::None);
         let base = exec_cycles(&jig);
-        let train = run_single_app(
-            SchemeKind::Whirlpool,
-            app,
-            Classification::WhirlTool {
-                pools: 3,
-                train: true,
-            },
-            measure,
-        );
-        let reference = run_single_app(
-            SchemeKind::Whirlpool,
-            app,
-            Classification::WhirlTool {
-                pools: 3,
-                train: false,
-            },
-            measure,
-        );
+        let whirltool = |train| Classification::WhirlTool { pools: 3, train };
+        let train = run(SchemeKind::Whirlpool, whirltool(true));
+        let reference = run(SchemeKind::Whirlpool, whirltool(false));
         println!(
             "{:<10} {:>13.1}% {:>13.1}%",
             app,

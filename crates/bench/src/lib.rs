@@ -103,7 +103,7 @@ pub fn baseline_position(schemes: &[SchemeKind], baseline: SchemeKind) -> usize 
 /// Passing `--json` to the binary appends one machine-readable line with
 /// every scheme's full [`RunSummary`](wp_sim::RunSummary).
 pub fn breakdown_figure(app: &str, paper_note: &str) {
-    use whirlpool_repro::harness::{exec_cycles, run_single_app};
+    use whirlpool_repro::harness::{exec_cycles, Experiment};
     let measure = measure_budget(app);
     println!("{app} across the six schemes ({measure} measured instructions).");
     println!("Paper: {paper_note}\n");
@@ -115,7 +115,11 @@ pub fn breakdown_figure(app: &str, paper_note: &str) {
         "scheme", "cycles", "hit/KI", "miss/KI", "byp/KI", "net", "bank", "mem (nJ/KI)"
     );
     for kind in SchemeKind::FIG10 {
-        let out = run_single_app(kind, app, classification_for(kind), measure);
+        let out = Experiment::single(kind, app)
+            .classification(classification_for(kind))
+            .measure(measure)
+            .run()
+            .unwrap_or_else(|e| panic!("running '{app}' failed: {e}"));
         let c = &out.cores[0];
         let ki = c.instructions as f64 / 1000.0;
         println!(
@@ -138,7 +142,7 @@ pub fn breakdown_figure(app: &str, paper_note: &str) {
     if std::env::args().any(|a| a == "--json") {
         println!(
             "\n{{\"app\":{},\"measured_instructions\":{measure},\"schemes\":[{}]}}",
-            wp_sim::json_string(app),
+            wp_obs::quote(app),
             json_rows.join(",")
         );
     }

@@ -9,7 +9,7 @@
 //! Budgets are overridden small so the test stays quick; the cache key
 //! includes them, so these captures never collide with full-size runs.
 
-use whirlpool_repro::harness::{Classification, RunSpec, SchemeKind};
+use whirlpool_repro::harness::{Classification, Experiment, SchemeKind};
 use wp_bench::sweep::{CellWork, SweepSpec};
 
 const APPS: [&str; 3] = ["delaunay", "mcf", "astar"];
@@ -84,21 +84,21 @@ fn parallel_sweep_is_bit_identical_to_serial_and_reuses_the_cache() {
     std::fs::remove_dir_all(&cache).unwrap();
 }
 
-/// A `WP_JOBS=4` *batched* sweep — single-app replay cells and a live
-/// mix cell — emits JSON bit-identical to the serial per-event sweep:
-/// neither the worker count nor the event delivery path is observable.
+/// A `WP_JOBS=4` sweep mixing single-app replay cells and a live mix
+/// cell emits JSON bit-identical to the serial sweep: the worker count is
+/// not observable. (That the batched delivery path matches the per-event
+/// reference is checked per scheme in the root `replay_determinism`
+/// tests.)
 #[test]
-fn batched_parallel_sweep_is_bit_identical_to_per_event_serial() {
-    use wp_sim::ExecMode;
-    let cache = tmp_cache("exec");
+fn mixed_parallel_sweep_is_bit_identical_to_serial() {
+    let cache = tmp_cache("mixed");
     let _ = std::fs::remove_dir_all(&cache);
 
-    let grid_with = |jobs: usize, mode: ExecMode| {
+    let grid_with = |jobs: usize| {
         let mut spec = SweepSpec::new()
             .cache_dir(&cache)
             .budgets(WARMUP, MEASURE)
-            .jobs(jobs)
-            .exec_mode(mode);
+            .jobs(jobs);
         for app in ["delaunay", "mcf"] {
             for kind in [SchemeKind::SNucaLru, SchemeKind::Whirlpool] {
                 spec.push(kind, CellWork::single(app, kind.default_classification()));
@@ -110,11 +110,11 @@ fn batched_parallel_sweep_is_bit_identical_to_per_event_serial() {
         );
         spec.run().expect("sweep").cells_json()
     };
-    let reference = grid_with(1, ExecMode::PerEvent);
+    let serial = grid_with(1);
     assert_eq!(
-        grid_with(4, ExecMode::Batched),
-        reference,
-        "WP_JOBS=4 batched sweep diverged from serial per-event"
+        grid_with(4),
+        serial,
+        "WP_JOBS=4 sweep diverged from the serial one"
     );
 
     std::fs::remove_dir_all(&cache).unwrap();
@@ -172,7 +172,7 @@ fn sweep_cell_matches_live_run() {
     );
     let result = spec.run().expect("sweep");
 
-    let live = RunSpec::new(SchemeKind::Whirlpool, "delaunay")
+    let live = Experiment::single(SchemeKind::Whirlpool, "delaunay")
         .classification(Classification::Manual)
         .warmup(WARMUP)
         .measure(MEASURE)

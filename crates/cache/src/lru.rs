@@ -31,14 +31,6 @@ pub struct LruCache {
     head: usize, // MRU
     tail: usize, // LRU
     capacity: usize,
-    /// Bimodal insertion (opt-in): once full, only 1-in-16 misses insert,
-    /// so a cache smaller than a streaming working set retains a stable
-    /// subset (BIP-style scan resistance; the sweep-cliff linearization
-    /// Talus would provide). The NUCA runtime instead avoids unrealizable
-    /// mid-cliff allocations at the sizing level (hull-vertex snapping),
-    /// so VC partitions keep plain LRU.
-    bimodal: bool,
-    rng: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -62,15 +54,7 @@ impl LruCache {
             head: NIL,
             tail: NIL,
             capacity,
-            bimodal: false,
-            rng: 0x9E37_79B9 ^ capacity as u64 | 1,
         }
-    }
-
-    /// Enables bimodal (Talus-style convexifying) insertion: once the cache
-    /// is full, only one in 16 misses inserts. See the field docs.
-    pub fn set_bimodal(&mut self, on: bool) {
-        self.bimodal = on;
     }
 
     /// Current number of resident lines.
@@ -104,15 +88,6 @@ impl LruCache {
         }
         if self.capacity == 0 {
             return AccessOutcome::Miss { evicted: None };
-        }
-        // Bimodal insertion at capacity (BIP-style scan resistance).
-        if self.bimodal && self.index.len() >= self.capacity {
-            self.rng ^= self.rng << 13;
-            self.rng ^= self.rng >> 7;
-            self.rng ^= self.rng << 17;
-            if self.rng % 16 != 0 {
-                return AccessOutcome::Miss { evicted: None };
-            }
         }
         // Under lazy shrinking occupancy can exceed capacity; converge by
         // evicting until the insert fits.
@@ -342,35 +317,6 @@ mod tests {
             let hb = matches!(big.access(a), AccessOutcome::Hit);
             assert!(!hs || hb, "small hit but big missed — inclusion violated");
         }
-    }
-
-    #[test]
-    fn bimodal_linearizes_the_sweep_cliff() {
-        // Cyclic sweep of 2N lines over an N-line cache: plain LRU gets 0
-        // hits; bimodal retains a stable subset and hits ~N/2N = 50%.
-        let n = 4096;
-        let mut plain = LruCache::new(n);
-        let mut talus = LruCache::new(n);
-        talus.set_bimodal(true);
-        let mut hits_plain = 0;
-        let mut hits_talus = 0;
-        for rep in 0..40u64 {
-            for a in 0..(2 * n as u64) {
-                if matches!(plain.access(a), AccessOutcome::Hit) {
-                    hits_plain += 1;
-                }
-                if matches!(talus.access(a), AccessOutcome::Hit) {
-                    hits_talus += 1;
-                }
-            }
-            let _ = rep;
-        }
-        assert_eq!(hits_plain, 0, "LRU must cliff on the sweep");
-        let ratio = hits_talus as f64 / (40.0 * 2.0 * n as f64);
-        assert!(
-            (ratio - 0.5).abs() < 0.1,
-            "bimodal should approach the hull hit rate, got {ratio:.3}"
-        );
     }
 
     #[test]

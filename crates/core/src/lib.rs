@@ -17,15 +17,16 @@
 //! * [`VcRegistry`] — the Sec. 3.2 system-call layer: `sys_vc_alloc`,
 //!   `sys_vc_free`, `sys_vc_tag`, and tagged `sys_mmap`, with the safety
 //!   checks the paper requires (a process may only tag its own VCs).
-//! * [`WhirlpoolScheme`] — the LLC scheme: the shared [`wp_jigsaw`] runtime
-//!   with per-pool VCs and VC bypassing enabled.
+//! * [`scheme`] / [`scheme_without_bypass`] — the LLC scheme: the shared
+//!   [`wp_jigsaw::NucaRuntime`] configured with per-pool VCs (and VC
+//!   bypassing, unless ablated). Whirlpool adds no runtime of its own.
 //! * [`manual`] — the Table 2 manual classifications (pools, data
 //!   structures, and lines-of-code changed for the 12 hand-ported apps).
 //!
 //! # Quickstart
 //!
 //! ```
-//! use whirlpool::{PoolAllocator, WhirlpoolScheme};
+//! use whirlpool::PoolAllocator;
 //! use wp_sim::SystemConfig;
 //!
 //! // Classify data into pools with the allocator...
@@ -36,7 +37,7 @@
 //! assert_eq!(pools.len(), 1);
 //!
 //! // ...and hand the classification to the Whirlpool-managed LLC.
-//! let scheme = WhirlpoolScheme::new(SystemConfig::four_core());
+//! let scheme = whirlpool::scheme(SystemConfig::four_core());
 //! assert_eq!(wp_sim::LlcScheme::name(&scheme), "Whirlpool");
 //! ```
 #![forbid(unsafe_code)]
@@ -48,5 +49,5 @@ mod scheme;
 mod syscalls;
 
 pub use api::PoolAllocator;
-pub use scheme::WhirlpoolScheme;
+pub use scheme::{scheme, scheme_without_bypass};
 pub use syscalls::{SysError, VcRegistry};

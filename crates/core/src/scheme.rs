@@ -1,81 +1,35 @@
 //! The Whirlpool LLC scheme.
+//!
+//! "Whirlpool extends Jigsaw to support static classification of data into
+//! pools by building VCs for each pool. We make small modifications to
+//! Jigsaw … but do not modify its core hardware mechanisms or software
+//! reconfiguration runtime." (Sec. 2.4) — accordingly, Whirlpool is not a
+//! type of its own but a configuration of [`wp_jigsaw::NucaRuntime`]: the
+//! same runtime with per-pool VCs switched on.
 
 use wp_jigsaw::{NucaConfig, NucaRuntime};
-use wp_noc::CoreId;
-use wp_sim::{AccessContext, LlcResponse, LlcScheme, PoolDescriptor, SystemConfig, Uncore};
+use wp_sim::SystemConfig;
 
-/// Whirlpool: the shared NUCA runtime with per-pool VCs and bypassing.
-///
-/// "Whirlpool extends Jigsaw to support static classification of data into
-/// pools by building VCs for each pool. We make small modifications to
-/// Jigsaw … but do not modify its core hardware mechanisms or software
-/// reconfiguration runtime." (Sec. 2.4) — accordingly, this type is a thin
-/// configuration of [`wp_jigsaw::NucaRuntime`].
-#[derive(Debug)]
-pub struct WhirlpoolScheme(NucaRuntime);
-
-impl WhirlpoolScheme {
-    /// Whirlpool with VC bypassing (the paper's default).
-    pub fn new(sys: SystemConfig) -> Self {
-        let cfg = NucaConfig::for_system(&sys, true, true);
-        Self(NucaRuntime::new(sys, cfg, "Whirlpool"))
-    }
-
-    /// Whirlpool without bypassing (the Fig. 21/22 ablation).
-    pub fn without_bypass(sys: SystemConfig) -> Self {
-        let cfg = NucaConfig::for_system(&sys, true, false);
-        Self(NucaRuntime::new(sys, cfg, "Whirlpool-NoBypass"))
-    }
-
-    /// Whirlpool with a custom runtime configuration (ablations: pool
-    /// budget, monitor resolution, …).
-    pub fn with_config(sys: SystemConfig, mut cfg: NucaConfig) -> Self {
-        cfg.per_pool_vcs = true;
-        Self(NucaRuntime::new(sys, cfg, "Whirlpool"))
-    }
-
-    /// The inner runtime, for instrumentation (allocation traces, VC
-    /// states — Figs. 8, 9, 11).
-    pub fn runtime(&self) -> &NucaRuntime {
-        &self.0
-    }
+/// Whirlpool with VC bypassing (the paper's default): the shared NUCA
+/// runtime with per-pool VCs, reported as `Whirlpool`.
+pub fn scheme(sys: SystemConfig) -> NucaRuntime {
+    let cfg = NucaConfig::for_system(&sys, true, true);
+    NucaRuntime::new(sys, cfg, "Whirlpool")
 }
 
-impl LlcScheme for WhirlpoolScheme {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn attach_core(&mut self, core: CoreId, pools: &[PoolDescriptor]) {
-        self.0.attach_core(core, pools);
-    }
-
-    fn access(&mut self, ctx: AccessContext, uncore: &mut Uncore) -> LlcResponse {
-        self.0.access(ctx, uncore)
-    }
-
-    fn reconfigure(&mut self, uncore: &mut Uncore) {
-        self.0.reconfigure(uncore);
-    }
-
-    fn bank_occupancy(&self) -> Vec<(usize, String, f64)> {
-        self.0.bank_occupancy()
-    }
-
-    fn pool_occupancy(&self) -> Vec<wp_obs::PoolOcc> {
-        self.0.pool_occupancy()
-    }
-
-    fn reconfig_log(&self) -> Vec<wp_obs::ReconfigEvent> {
-        self.0.reconfig_log()
-    }
+/// Whirlpool without bypassing (the Fig. 21/22 ablation), reported as
+/// `Whirlpool-NoBypass`.
+pub fn scheme_without_bypass(sys: SystemConfig) -> NucaRuntime {
+    let cfg = NucaConfig::for_system(&sys, true, false);
+    NucaRuntime::new(sys, cfg, "Whirlpool-NoBypass")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use wp_mem::{LineAddr, PoolId};
-    use wp_sim::LlcOutcome;
+    use wp_noc::CoreId;
+    use wp_sim::{AccessContext, LlcOutcome, LlcScheme, PoolDescriptor, Uncore};
 
     fn sys() -> SystemConfig {
         SystemConfig::four_core()
@@ -102,20 +56,20 @@ mod tests {
 
     #[test]
     fn per_pool_vcs_are_created() {
-        let mut w = WhirlpoolScheme::new(sys());
+        let mut w = scheme(sys());
         w.attach_core(
             CoreId(0),
             &[pool("vertices", 1, 100, 16), pool("edges", 2, 200, 64)],
         );
         // process + thread0 + 2 pools
-        assert_eq!(w.runtime().vcs().len(), 4);
+        assert_eq!(w.vcs().len(), 4);
     }
 
     #[test]
     fn mis_like_bypass_of_streaming_edges() {
         // The Fig. 9/10 behaviour: vertices cache well and get capacity;
         // edges stream and end up bypassed.
-        let mut w = WhirlpoolScheme::new(sys());
+        let mut w = scheme(sys());
         let mut u = Uncore::new(sys());
         // vertices: 1 MB = 256 pages at page 1000; edges: big, at 10000.
         w.attach_core(
@@ -137,7 +91,7 @@ mod tests {
             u.interval_instructions[0] = 2_000_000;
             w.reconfigure(&mut u);
         }
-        let allocs = w.runtime().allocations();
+        let allocs = w.allocations();
         let vertices = allocs.iter().find(|(n, _, _)| n == "vertices").unwrap();
         let edges = allocs.iter().find(|(n, _, _)| n == "edges").unwrap();
         assert!(vertices.1 > 0, "vertices should get capacity");
@@ -150,7 +104,7 @@ mod tests {
 
     #[test]
     fn no_bypass_variant_never_bypasses() {
-        let mut w = WhirlpoolScheme::without_bypass(sys());
+        let mut w = scheme_without_bypass(sys());
         let mut u = Uncore::new(sys());
         w.attach_core(CoreId(0), &[pool("edges", 1, 10_000, 4096)]);
         let mut e = 0u64;
@@ -162,15 +116,12 @@ mod tests {
             u.interval_instructions[0] = 1_000_000;
             w.reconfigure(&mut u);
         }
-        assert!(w.runtime().allocations().iter().all(|(_, _, b)| !b));
+        assert!(w.allocations().iter().all(|(_, _, b)| !b));
     }
 
     #[test]
     fn scheme_names() {
-        assert_eq!(WhirlpoolScheme::new(sys()).name(), "Whirlpool");
-        assert_eq!(
-            WhirlpoolScheme::without_bypass(sys()).name(),
-            "Whirlpool-NoBypass"
-        );
+        assert_eq!(scheme(sys()).name(), "Whirlpool");
+        assert_eq!(scheme_without_bypass(sys()).name(), "Whirlpool-NoBypass");
     }
 }

@@ -15,10 +15,11 @@
 //! with the only difference being that each memory pool gets its own VC."
 //!
 //! Entry points:
-//! * [`JigsawScheme`] — the baseline scheme (thread/process VCs only) that
-//!   plugs into [`wp_sim::MultiCoreSim`].
-//! * [`NucaRuntime`] / [`NucaConfig`] — the parameterized runtime reused by
-//!   Whirlpool.
+//! * [`NucaRuntime::jigsaw`] / [`NucaRuntime::jigsaw_without_bypass`] —
+//!   the baseline scheme (thread/process VCs only), a configured
+//!   [`NucaRuntime`] that plugs into [`wp_sim::MultiCoreSim`] as is.
+//! * [`NucaRuntime`] / [`NucaConfig`] — the parameterized runtime that
+//!   `whirlpool` configures with per-pool VCs.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -29,7 +30,7 @@ mod vc;
 mod vtb;
 
 pub use placement::{place_and_trade, PlacementInput, PlacementResult};
-pub use runtime::{JigsawScheme, NucaConfig, NucaRuntime};
+pub use runtime::{NucaConfig, NucaRuntime};
 pub use sizing::{size_vcs, SizingInput, SizingOutcome};
 pub use vc::{VcKind, VcState};
 pub use vtb::Vtb;

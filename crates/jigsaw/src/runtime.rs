@@ -80,12 +80,9 @@ pub struct NucaRuntime {
     pools_per_core: Vec<usize>,
     bootstrapped: bool,
     reconfigurations: u64,
-    /// `(cycle, per-VC (label, granules, bypassed))` at each
-    /// reconfiguration — the allocation trace of Fig. 11a.
-    history: Vec<(u64, VcAllocations)>,
-    /// The richer observability log: one event per reconfiguration with
-    /// old→new allocations and the curve signal that drove each sizing
-    /// decision (exported through [`LlcScheme::reconfig_log`]).
+    /// One event per reconfiguration with old→new allocations and the
+    /// curve signal that drove each sizing decision — the allocation
+    /// trace of Fig. 11a (exported through [`LlcScheme::reconfig_log`]).
     obs_log: Vec<wp_obs::ReconfigEvent>,
 }
 
@@ -119,7 +116,6 @@ impl NucaRuntime {
             pools_per_core: vec![0; num_cores],
             bootstrapped: false,
             reconfigurations: 0,
-            history: Vec::new(),
             obs_log: Vec::new(),
             config,
             sys,
@@ -129,6 +125,19 @@ impl NucaRuntime {
         let center = wp_noc::Coord::new(mesh.width() / 2, mesh.height() / 2);
         rt.process_vc = rt.create_vc(VcKind::Process, center);
         rt
+    }
+
+    /// Jigsaw, the baseline scheme: thread/process VCs only, with the
+    /// bypass extension (the paper's default comparison).
+    pub fn jigsaw(sys: SystemConfig) -> Self {
+        let cfg = NucaConfig::for_system(&sys, false, true);
+        Self::new(sys, cfg, "Jigsaw")
+    }
+
+    /// Jigsaw without bypassing (the Fig. 21/22 ablation).
+    pub fn jigsaw_without_bypass(sys: SystemConfig) -> Self {
+        let cfg = NucaConfig::for_system(&sys, false, false);
+        Self::new(sys, cfg, "Jigsaw-NoBypass")
     }
 
     /// Number of reconfigurations performed.
@@ -148,12 +157,6 @@ impl NucaRuntime {
             .iter()
             .map(|v| (v.label(), v.allocated_granules, v.bypassed))
             .collect()
-    }
-
-    /// The allocation decisions of every reconfiguration so far:
-    /// `(cycle, per-VC (label, granules, bypassed))` — Fig. 11a's trace.
-    pub fn reconfig_history(&self) -> &[(u64, VcAllocations)] {
-        &self.history
     }
 
     /// Appends one [`wp_obs::ReconfigEvent`] for the reconfiguration that
@@ -435,7 +438,6 @@ impl LlcScheme for NucaRuntime {
                 }
             }
             if !any_changed {
-                self.history.push((uncore.now, self.allocations()));
                 let apki: Vec<f64> = inputs.iter().map(|i| i.apki).collect();
                 self.log_reconfig(uncore.now, &old_alloc, &apki);
                 return;
@@ -497,7 +499,6 @@ impl LlcScheme for NucaRuntime {
             self.apply_shares(i, placement.shares_of(i), uncore);
         }
         self.bootstrapped = true;
-        self.history.push((uncore.now, self.allocations()));
         let apki: Vec<f64> = inputs.iter().map(|i| i.apki).collect();
         self.log_reconfig(uncore.now, &old_alloc, &apki);
     }
@@ -530,59 +531,6 @@ impl LlcScheme for NucaRuntime {
 
     fn reconfig_log(&self) -> Vec<wp_obs::ReconfigEvent> {
         self.obs_log.clone()
-    }
-}
-
-/// The baseline Jigsaw scheme: [`NucaRuntime`] without per-pool VCs.
-#[derive(Debug)]
-pub struct JigsawScheme(NucaRuntime);
-
-impl JigsawScheme {
-    /// Jigsaw with the bypass extension (the paper's default comparison).
-    pub fn new(sys: SystemConfig) -> Self {
-        let cfg = NucaConfig::for_system(&sys, false, true);
-        Self(NucaRuntime::new(sys, cfg, "Jigsaw"))
-    }
-
-    /// Jigsaw without bypassing (the Fig. 21/22 ablation).
-    pub fn without_bypass(sys: SystemConfig) -> Self {
-        let cfg = NucaConfig::for_system(&sys, false, false);
-        Self(NucaRuntime::new(sys, cfg, "Jigsaw-NoBypass"))
-    }
-
-    /// The inner runtime (instrumentation).
-    pub fn runtime(&self) -> &NucaRuntime {
-        &self.0
-    }
-}
-
-impl LlcScheme for JigsawScheme {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn attach_core(&mut self, core: CoreId, pools: &[PoolDescriptor]) {
-        self.0.attach_core(core, pools);
-    }
-
-    fn access(&mut self, ctx: AccessContext, uncore: &mut Uncore) -> LlcResponse {
-        self.0.access(ctx, uncore)
-    }
-
-    fn reconfigure(&mut self, uncore: &mut Uncore) {
-        self.0.reconfigure(uncore);
-    }
-
-    fn bank_occupancy(&self) -> Vec<(usize, String, f64)> {
-        self.0.bank_occupancy()
-    }
-
-    fn pool_occupancy(&self) -> Vec<wp_obs::PoolOcc> {
-        self.0.pool_occupancy()
-    }
-
-    fn reconfig_log(&self) -> Vec<wp_obs::ReconfigEvent> {
-        self.0.reconfig_log()
     }
 }
 
@@ -650,7 +598,7 @@ mod tests {
 
     #[test]
     fn jigsaw_ignores_pools() {
-        let mut j = JigsawScheme::new(sys());
+        let mut j = NucaRuntime::jigsaw(sys());
         let pool = PoolDescriptor {
             name: "p".into(),
             pool: Some(wp_mem::PoolId(1)),
@@ -659,7 +607,7 @@ mod tests {
         };
         j.attach_core(CoreId(0), &[pool]);
         // Only process VC + thread VC exist.
-        assert_eq!(j.runtime().vcs().len(), 2);
+        assert_eq!(j.vcs().len(), 2);
     }
 
     #[test]

@@ -208,7 +208,7 @@ impl Dispatcher {
                 let cancelling = s.tokens.get(id).is_some_and(CancelToken::is_cancelled);
                 format!(
                     "{{\"id\":{id},\"verb\":{},\"cancelling\":{cancelling}}}",
-                    wp_sim::json_string(verb)
+                    wp_obs::quote(verb)
                 )
             })
             .collect();
@@ -332,7 +332,7 @@ fn worker_loop(inner: &Inner) {
                 inner.store.log_line(&format!(
                     "{{\"job\":{},\"verb\":{},\"ok\":true,\"lines\":{}}}",
                     job.id,
-                    wp_sim::json_string(&verb),
+                    wp_obs::quote(&verb),
                     lines.len(),
                 ));
             }
@@ -352,8 +352,8 @@ fn worker_loop(inner: &Inner) {
                     "{{\"job\":{},\"verb\":{},\"ok\":false,\"cancelled\":{cancelled},\
                      \"error\":{}}}",
                     job.id,
-                    wp_sim::json_string(&verb),
-                    wp_sim::json_string(message),
+                    wp_obs::quote(&verb),
+                    wp_obs::quote(message),
                 ));
             }
         }

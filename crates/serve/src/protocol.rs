@@ -3,7 +3,7 @@
 //! Every request and every response is one JSON object per line. The
 //! framing is deliberately boring — the repo's own
 //! [`bench_check`](whirlpool_repro::bench_check) parser decodes it and
-//! [`wp_sim::json_string`] encodes it, so the daemon adds no
+//! [`wp_obs::quote`] encodes it, so the daemon adds no
 //! dependencies and both ends share one lossless string escape.
 //!
 //! Requests (client → daemon):
@@ -40,7 +40,7 @@
 //! `tests/serve_determinism.rs` locks down.
 
 use whirlpool_repro::bench_check::{parse, Json};
-use wp_sim::json_string;
+use wp_obs::quote;
 
 /// Which [`Experiment`](whirlpool_repro::harness::Experiment)-backed
 /// subcommand an `experiment` request runs.
@@ -132,7 +132,7 @@ impl Request {
     /// Serializes the request as one wire line (no trailing newline).
     pub fn to_line(&self) -> String {
         let argv_json = |argv: &[String]| {
-            let items: Vec<String> = argv.iter().map(|a| json_string(a)).collect();
+            let items: Vec<String> = argv.iter().map(|a| quote(a)).collect();
             format!("[{}]", items.join(","))
         };
         match self {
@@ -225,7 +225,7 @@ pub fn ack_frame(job: u64) -> String {
 pub fn line_frame(job: u64, data: &str) -> String {
     format!(
         "{{\"type\":\"line\",\"job\":{job},\"data\":{}}}",
-        json_string(data)
+        quote(data)
     )
 }
 
@@ -239,7 +239,7 @@ pub fn done_frame(job: u64, lines: usize) -> String {
 pub fn error_frame(job: u64, cancelled: bool, message: &str) -> String {
     format!(
         "{{\"type\":\"error\",\"job\":{job},\"cancelled\":{cancelled},\"message\":{}}}",
-        json_string(message)
+        quote(message)
     )
 }
 

@@ -25,23 +25,25 @@ mod driver;
 mod energy;
 mod hierarchy;
 mod memory;
+mod reference;
 mod replay;
 mod scheme;
 mod stats;
 mod uncore;
 
 pub use config::SystemConfig;
-pub use driver::{CoreRunner, ExecMode, MultiCoreSim, RunSummary, SimConfig};
+pub use driver::{CoreRunner, MultiCoreSim, RunSummary, SimConfig};
 pub use energy::{EnergyBreakdown, EnergyMeter, EnergyParams};
 pub use hierarchy::{PrivateHierarchy, PrivateLookup};
 pub use memory::MemoryChannels;
+pub use reference::PerEvent;
 pub use replay::{trace_bundle, trace_pools, TraceWorkload};
 pub use scheme::{
     AccessContext, BatchClock, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, TraceEvent,
     Workload, WorkloadBundle,
 };
+pub use stats::CoreStats;
+pub use uncore::Uncore;
 // The batch type workloads and schemes exchange, re-exported so scheme
 // crates need not name `wp-trace` directly.
-pub use stats::{json_string, CoreStats};
-pub use uncore::Uncore;
 pub use wp_trace::EventBatch;

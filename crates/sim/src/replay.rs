@@ -33,10 +33,11 @@ impl BatchSource {
 
 /// A [`Workload`] that streams one stream of a `.wpt` trace file.
 ///
-/// Under the per-event interface, reading is streaming (one chunk in
-/// memory) through [`wp_trace::TraceReader`]. Under the batched interface
-/// ([`Workload::fill_batch`], the default [`ExecMode`](crate::ExecMode)),
-/// chunks decode zero-copy out of an mmapped image — by default on a
+/// Under the per-event interface ([`Workload::next_event`], which the
+/// [`PerEvent`](crate::PerEvent) reference adapter drives), reading is
+/// streaming (one chunk in memory) through [`wp_trace::TraceReader`].
+/// Under the batched interface ([`Workload::fill_batch`], the simulator's
+/// path), chunks decode zero-copy out of an mmapped image — by default on a
 /// lookahead thread, so decode overlaps simulation; set `WP_PREFETCH=0`
 /// to decode inline. Both interfaces yield the identical event sequence;
 /// a run uses one or the other, never a mix.
@@ -47,7 +48,7 @@ impl BatchSource {
 /// run. Use [`wp_trace::TraceReader`] directly for fallible consumption.
 pub struct TraceWorkload {
     reader: wp_trace::TraceReader<std::io::BufReader<std::fs::File>>,
-    /// Lazily opened on first `fill_batch`, so per-event runs never pay
+    /// Lazily opened on first `fill_batch`, so reference runs never pay
     /// for a mapping (and batched runs never pay for `reader` beyond the
     /// header validation it performed at open).
     batched: Option<BatchSource>,

@@ -118,8 +118,8 @@ pub struct LlcResponse {
 
 /// The per-event clock protocol of a batched quantum.
 ///
-/// The driver's per-event loop advances the core clock and the uncore's
-/// notion of "now" around every scheme access:
+/// The simulation advances the core clock and the uncore's notion of
+/// "now" around every scheme access:
 ///
 /// ```text
 /// cycles += gap · base_cpi;  now = max(now, cycles as u64);   // pre

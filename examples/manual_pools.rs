@@ -8,9 +8,10 @@
 //! ```
 
 use whirlpool_repro::harness::{
-    exec_cycles, four_core_config, render_occupancy, run_single_app, run_single_app_with,
-    speedup_pct, Classification, SchemeKind,
+    exec_cycles, four_core_config, make_scheme, render_occupancy, speedup_pct, Classification,
+    Experiment, SchemeKind,
 };
+use wp_sim::LlcScheme;
 
 fn main() {
     const INSTRS: u64 = 6_000_000;
@@ -19,6 +20,13 @@ fn main() {
         "{:<12} {:>12} {:>9} {:>9} {:>9} {:>9} {:>12}",
         "scheme", "cycles", "APKI", "hits/KI", "miss/KI", "byp/KI", "energy nJ/KI"
     );
+    let sys = four_core_config();
+    let mis = |kind, classification| {
+        Experiment::single(kind, "MIS")
+            .classification(classification)
+            .measure(INSTRS)
+            .system(sys.clone())
+    };
     let mut jig_cycles = 0.0;
     let mut wp_cycles = 0.0;
     for kind in whirlpool_repro::harness::SchemeKind::FIG10 {
@@ -27,7 +35,7 @@ fn main() {
         } else {
             Classification::None
         };
-        let out = run_single_app(kind, "MIS", classification, INSTRS);
+        let out = mis(kind, classification).run().expect("mis runs");
         let c = &out.cores[0];
         println!(
             "{:<12} {:>12.0} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>12.2}",
@@ -52,16 +60,12 @@ fn main() {
     );
 
     // Show where Whirlpool put the data (the Fig. 5-style map).
-    let sys = four_core_config();
-    let out = run_single_app_with(
-        SchemeKind::Whirlpool,
-        "MIS",
-        Classification::Manual,
-        INSTRS,
-        sys.clone(),
+    let (_, scheme) = mis(SchemeKind::Whirlpool, Classification::Manual)
+        .run_with_scheme(make_scheme(SchemeKind::Whirlpool, &sys))
+        .expect("mis runs");
+    println!(
+        "\nWhirlpool's end-of-run placement on mis:\n{}",
+        render_occupancy(&sys, &scheme.bank_occupancy())
     );
-    let _ = out;
-    println!("\n(see fig05_dt_placement in wp-bench for the dt placement maps)");
-    let occ: Vec<(usize, String, f64)> = vec![];
-    let _ = render_occupancy(&sys, &occ);
+    println!("(see fig05_dt_placement in wp-bench for the dt placement maps)");
 }

@@ -5,7 +5,7 @@
 //! cargo run --release --example trace_replay
 //! ```
 
-use whirlpool_repro::harness::{RunSpec, SchemeKind};
+use whirlpool_repro::harness::{Experiment, SchemeKind};
 use wp_trace::TraceInfo;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
         "capturing delaunay under Whirlpool to {} ...",
         path.display()
     );
-    let live = RunSpec::new(SchemeKind::Whirlpool, "delaunay")
+    let live = Experiment::single(SchemeKind::Whirlpool, "delaunay")
         .warmup(WARMUP)
         .measure(MEASURE)
         .capture_to(&path)
@@ -39,7 +39,7 @@ fn main() {
 
     // --- Replay: the same trace through the same scheme is bit-identical.
     let uri = format!("trace:{}", path.display());
-    let replayed = RunSpec::new(SchemeKind::Whirlpool, &uri)
+    let replayed = Experiment::single(SchemeKind::Whirlpool, &uri)
         .warmup(WARMUP)
         .measure(MEASURE)
         .run()
@@ -56,7 +56,7 @@ fn main() {
         "scheme", "mpki", "bpki", "nJ/KI"
     );
     for kind in SchemeKind::FIG10 {
-        let out = RunSpec::new(kind, &uri)
+        let out = Experiment::single(kind, &uri)
             .warmup(WARMUP)
             .measure(MEASURE)
             .run()

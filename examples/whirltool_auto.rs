@@ -8,9 +8,7 @@
 
 use std::collections::HashMap;
 
-use whirlpool_repro::harness::{
-    exec_cycles, run_single_app, speedup_pct, Classification, SchemeKind,
-};
+use whirlpool_repro::harness::{exec_cycles, speedup_pct, Classification, Experiment, SchemeKind};
 use wp_mem::{CallpointId, PageId};
 use wp_whirltool::{cluster, profile, ProfilerConfig};
 use wp_workloads::{registry, AppModel};
@@ -51,7 +49,14 @@ fn main() {
 
     // 3. Run with 2, 3, 4 pools vs Jigsaw and the manual port (Fig. 16).
     const INSTRS: u64 = 6_000_000;
-    let jig = run_single_app(SchemeKind::Jigsaw, app, Classification::None, INSTRS);
+    let run = |kind, classification| {
+        Experiment::single(kind, app)
+            .classification(classification)
+            .measure(INSTRS)
+            .run()
+            .expect("app runs")
+    };
+    let jig = run(SchemeKind::Jigsaw, Classification::None);
     println!(
         "{:<22} {:>12}  {:>9}",
         "configuration", "cycles", "vs Jigsaw"
@@ -63,11 +68,9 @@ fn main() {
         0.0
     );
     for pools in [2usize, 3, 4] {
-        let wt = run_single_app(
+        let wt = run(
             SchemeKind::Whirlpool,
-            app,
             Classification::WhirlTool { pools, train: true },
-            INSTRS,
         );
         println!(
             "{:<22} {:>12.0}  {:>8.1}%",
@@ -76,7 +79,7 @@ fn main() {
             speedup_pct(exec_cycles(&jig), exec_cycles(&wt)),
         );
     }
-    let manual = run_single_app(SchemeKind::Whirlpool, app, Classification::Manual, INSTRS);
+    let manual = run(SchemeKind::Whirlpool, Classification::Manual);
     println!(
         "{:<22} {:>12.0}  {:>8.1}%",
         "manual (Table 2)",

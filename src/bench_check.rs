@@ -348,6 +348,18 @@ mod tests {
     }
 
     #[test]
+    fn quoted_control_characters_round_trip() {
+        // `wp_obs::quote` is the one string escaper every JSON emitter
+        // uses; its short forms (`\n`, `\t`, `\r`) and `\u00XX` forms
+        // must all decode back to the original characters.
+        let s: String = (0u32..0x20)
+            .filter_map(char::from_u32)
+            .chain("\"\\/ trace:a b".chars())
+            .collect();
+        assert_eq!(parse(&wp_obs::quote(&s)).unwrap(), Json::Str(s));
+    }
+
+    #[test]
     fn rejects_malformed_input() {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,]").is_err());

@@ -17,15 +17,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use whirlpool::WhirlpoolScheme;
 use wp_baselines::{
     AwasthiParams, AwasthiScheme, IdealSpdScheme, MemshareScheme, SNucaScheme, SnucaReplacement,
 };
-use wp_jigsaw::JigsawScheme;
+use wp_jigsaw::NucaRuntime;
 use wp_mem::{CallpointId, PageId, LINES_PER_PAGE};
 use wp_noc::CoreId;
 use wp_paws::{core_workloads, schedule, ParallelClassification, SchedPolicy, Schedule};
-use wp_sim::{ExecMode, LlcScheme, MultiCoreSim, RunSummary, SystemConfig, WorkloadBundle};
+use wp_sim::{LlcScheme, MultiCoreSim, RunSummary, SystemConfig, WorkloadBundle};
 use wp_trace::{TraceError, TraceInfo};
 use wp_whirltool::{cluster, profile, ProfilerConfig};
 use wp_workloads::parallel::{ParallelApp, ParallelSpec};
@@ -458,10 +457,10 @@ pub fn make_scheme(kind: SchemeKind, sys: &SystemConfig) -> Box<dyn LlcScheme> {
         SchemeKind::SNucaDrrip => Box::new(SNucaScheme::new(sys, SnucaReplacement::Drrip)),
         SchemeKind::IdealSpd => Box::new(IdealSpdScheme::new(sys)),
         SchemeKind::Awasthi => Box::new(AwasthiScheme::new(sys, AwasthiParams::default())),
-        SchemeKind::Jigsaw => Box::new(JigsawScheme::new(sys.clone())),
-        SchemeKind::JigsawNoBypass => Box::new(JigsawScheme::without_bypass(sys.clone())),
-        SchemeKind::Whirlpool => Box::new(WhirlpoolScheme::new(sys.clone())),
-        SchemeKind::WhirlpoolNoBypass => Box::new(WhirlpoolScheme::without_bypass(sys.clone())),
+        SchemeKind::Jigsaw => Box::new(NucaRuntime::jigsaw(sys.clone())),
+        SchemeKind::JigsawNoBypass => Box::new(NucaRuntime::jigsaw_without_bypass(sys.clone())),
+        SchemeKind::Whirlpool => Box::new(whirlpool::scheme(sys.clone())),
+        SchemeKind::WhirlpoolNoBypass => Box::new(whirlpool::scheme_without_bypass(sys.clone())),
         SchemeKind::Memshare => Box::new(MemshareScheme::new(sys)),
     }
 }
@@ -686,12 +685,6 @@ pub const MIX_WARMUP_INSTRS: u64 = 6_000_000;
 /// fixed-work), matching the Fig. 22 4-core configuration.
 pub const MIX_MEASURE_INSTRS: u64 = 8_000_000;
 
-/// The `WP_EXEC` environment override for the event delivery path
-/// (`per-event` or `batched`), if set and parseable.
-fn default_exec_mode() -> Option<ExecMode> {
-    std::env::var("WP_EXEC").ok()?.parse().ok()
-}
-
 /// Default RNG seed for the per-core trace streams of a mix.
 const MIX_SEED: u64 = 0xC0FE;
 
@@ -870,7 +863,6 @@ pub struct Experiment {
     sys: Option<SystemConfig>,
     seed: Option<u64>,
     capture_to: Option<PathBuf>,
-    exec: Option<ExecMode>,
     obs: Option<wp_obs::ObsConfig>,
     cancel: Option<CancelToken>,
 }
@@ -886,7 +878,6 @@ impl Experiment {
             sys: None,
             seed: None,
             capture_to: None,
-            exec: None,
             obs: None,
             cancel: None,
         }
@@ -1055,17 +1046,6 @@ impl Experiment {
     #[must_use]
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Overrides the event delivery path (default: `WP_EXEC` if set and
-    /// parseable — `per-event` or `batched` — else [`ExecMode::default`]).
-    /// Both modes produce bit-identical [`RunSummary`]s; this knob exists
-    /// for the throughput benchmarks and determinism tests that compare
-    /// the two.
-    #[must_use]
-    pub fn exec_mode(mut self, exec: ExecMode) -> Self {
-        self.exec = Some(exec);
         self
     }
 
@@ -1250,10 +1230,6 @@ impl Experiment {
         if let Some(o) = obs_cfg.clone() {
             cfg = cfg.observe(o);
         }
-        let exec = self.exec.or_else(default_exec_mode);
-        if let Some(exec) = exec {
-            cfg = cfg.exec_mode(exec);
-        }
         let mut sim = MultiCoreSim::with_config(cfg, scheme)?;
         for (core, bundle) in attachments {
             sim.attach(core, bundle);
@@ -1411,123 +1387,6 @@ fn check_mix_address_spaces(
 }
 
 // ---------------------------------------------------------------------------
-// Thin compatibility shims
-// ---------------------------------------------------------------------------
-
-/// A single-core run specification — a thin shim over
-/// [`Experiment::single`] kept so existing call sites read unchanged.
-///
-/// ```no_run
-/// use whirlpool_repro::harness::{RunSpec, SchemeKind};
-///
-/// let out = RunSpec::new(SchemeKind::Whirlpool, "delaunay")
-///     .measure(1_000_000)
-///     .run()
-///     .unwrap();
-/// assert!(out.cores[0].instructions > 0);
-/// ```
-#[derive(Debug)]
-pub struct RunSpec(Experiment);
-
-impl RunSpec {
-    /// A run of `app` (registry name or `trace:<path>`) under `kind`,
-    /// with all defaults.
-    pub fn new(kind: SchemeKind, app: &str) -> Self {
-        Self(Experiment::single(kind, app))
-    }
-
-    /// Overrides the classification.
-    #[must_use]
-    pub fn classification(self, c: Classification) -> Self {
-        Self(self.0.classification(c))
-    }
-
-    /// Overrides the warmup budget (instructions).
-    #[must_use]
-    pub fn warmup(self, instrs: u64) -> Self {
-        Self(self.0.warmup(instrs))
-    }
-
-    /// Overrides the measurement budget (instructions).
-    #[must_use]
-    pub fn measure(self, instrs: u64) -> Self {
-        Self(self.0.measure(instrs))
-    }
-
-    /// Overrides the system configuration.
-    #[must_use]
-    pub fn system(self, sys: SystemConfig) -> Self {
-        Self(self.0.system(sys))
-    }
-
-    /// Captures the run's full event stream (warmup included) to a
-    /// `.wpt` file.
-    #[must_use]
-    pub fn capture_to(self, path: impl Into<PathBuf>) -> Self {
-        Self(self.0.capture_to(path))
-    }
-
-    /// Runs on core 0 and returns the summary.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Experiment::run`].
-    pub fn run(self) -> Result<RunSummary, HarnessError> {
-        self.0.run()
-    }
-}
-
-/// Runs one app alone on core 0 of the 4-core chip for
-/// `instrs` measured instructions (after the app's warmup budget).
-///
-/// # Panics
-///
-/// Panics on [`HarnessError`]s (unknown apps, missing traces); use
-/// [`Experiment`] directly for a fallible run.
-pub fn run_single_app(
-    kind: SchemeKind,
-    app: &str,
-    classification: Classification,
-    instrs: u64,
-) -> RunSummary {
-    run_single_app_with(kind, app, classification, instrs, four_core_config())
-}
-
-/// Runs one app alone with its default budget (warmup + measurement).
-///
-/// # Panics
-///
-/// As for [`run_single_app`].
-pub fn run_single_app_budgeted(
-    kind: SchemeKind,
-    app: &str,
-    classification: Classification,
-) -> RunSummary {
-    let (_, measure) = run_budget(app);
-    run_single_app_with(kind, app, classification, measure, four_core_config())
-}
-
-/// [`run_single_app`] with an explicit system configuration.
-///
-/// # Panics
-///
-/// As for [`run_single_app`].
-pub fn run_single_app_with(
-    kind: SchemeKind,
-    app: &str,
-    classification: Classification,
-    instrs: u64,
-    sys: SystemConfig,
-) -> RunSummary {
-    Experiment::single(kind, app)
-        .classification(classification)
-        .measure(instrs)
-        .system(sys)
-        .run()
-        .unwrap_or_else(|e| panic!("running '{app}' failed: {e}"))
-}
-
-// ---------------------------------------------------------------------------
 // Reporting helpers
 // ---------------------------------------------------------------------------
 
@@ -1594,12 +1453,11 @@ mod tests {
 
     #[test]
     fn single_app_run_produces_stats() {
-        let out = run_single_app(
-            SchemeKind::SNucaLru,
-            "delaunay",
-            Classification::None,
-            500_000,
-        );
+        let out = Experiment::single(SchemeKind::SNucaLru, "delaunay")
+            .classification(Classification::None)
+            .measure(500_000)
+            .run()
+            .unwrap();
         // Fixed-work freezes at the first event crossing the target, so a
         // single gap of overshoot is expected.
         assert!(out.cores[0].instructions >= 500_000);
@@ -1610,12 +1468,11 @@ mod tests {
 
     #[test]
     fn whirlpool_gets_manual_pools() {
-        let out = run_single_app(
-            SchemeKind::Whirlpool,
-            "delaunay",
-            Classification::Manual,
-            500_000,
-        );
+        let out = Experiment::single(SchemeKind::Whirlpool, "delaunay")
+            .classification(Classification::Manual)
+            .measure(500_000)
+            .run()
+            .unwrap();
         assert_eq!(out.scheme, "Whirlpool");
         assert!(out.cores[0].llc_accesses > 0);
     }
@@ -1728,17 +1585,17 @@ mod tests {
     }
 
     #[test]
-    fn runspec_capture_then_replay_matches() {
+    fn single_capture_then_replay_matches() {
         let path =
             std::env::temp_dir().join(format!("wp-harness-capture-{}.wpt", std::process::id()));
-        let live = RunSpec::new(SchemeKind::SNucaLru, "delaunay")
+        let live = Experiment::single(SchemeKind::SNucaLru, "delaunay")
             .warmup(100_000)
             .measure(200_000)
             .capture_to(&path)
             .run()
             .unwrap();
         let uri = format!("trace:{}", path.display());
-        let replayed = RunSpec::new(SchemeKind::SNucaLru, &uri)
+        let replayed = Experiment::single(SchemeKind::SNucaLru, &uri)
             .warmup(100_000)
             .measure(200_000)
             .run()
@@ -1757,7 +1614,7 @@ mod tests {
 
     #[test]
     fn missing_trace_file_is_an_error_not_a_panic() {
-        match RunSpec::new(SchemeKind::SNucaLru, "trace:/nonexistent/x.wpt").run() {
+        match Experiment::single(SchemeKind::SNucaLru, "trace:/nonexistent/x.wpt").run() {
             Err(HarnessError::Trace(_)) => {}
             other => panic!("expected a Trace error, got {other:?}"),
         }
@@ -1845,7 +1702,7 @@ mod tests {
     fn colliding_trace_mix_is_rejected_by_core() {
         let path =
             std::env::temp_dir().join(format!("wp-harness-collide-{}.wpt", std::process::id()));
-        RunSpec::new(SchemeKind::SNucaLru, "delaunay")
+        Experiment::single(SchemeKind::SNucaLru, "delaunay")
             .warmup(50_000)
             .measure(100_000)
             .capture_to(&path)

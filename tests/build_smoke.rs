@@ -1,11 +1,10 @@
-//! Workspace smoke test: the quickstart path — one short
-//! [`run_single_app`] per [`SchemeKind`] — so CI exercises every scheme
+//! Workspace smoke test: the quickstart path — one short single-app
+//! [`Experiment`] per [`SchemeKind`] — so CI exercises every scheme
 //! end to end (registry app, budgets, classification, simulator, stats),
 //! not just the unit tests.
 
-use whirlpool_repro::harness::{
-    exec_cycles, run_single_app, speedup_pct, Classification, SchemeKind,
-};
+use whirlpool_repro::harness::{exec_cycles, speedup_pct, Classification, Experiment, SchemeKind};
+use wp_sim::RunSummary;
 
 const ALL_SCHEMES: [SchemeKind; 8] = [
     SchemeKind::SNucaLru,
@@ -22,6 +21,15 @@ const ALL_SCHEMES: [SchemeKind; 8] = [
 /// LLC traffic in a debug-mode CI run, far below the paper budgets.
 const INSTRS: u64 = 250_000;
 
+/// `delaunay` alone under `kind` for [`INSTRS`] measured instructions.
+fn run(kind: SchemeKind, classification: Classification) -> RunSummary {
+    Experiment::single(kind, "delaunay")
+        .classification(classification)
+        .measure(INSTRS)
+        .run()
+        .expect("delaunay runs")
+}
+
 #[test]
 fn quickstart_runs_every_scheme() {
     for kind in ALL_SCHEMES {
@@ -30,7 +38,7 @@ fn quickstart_runs_every_scheme() {
         } else {
             Classification::None
         };
-        let out = run_single_app(kind, "delaunay", classification, INSTRS);
+        let out = run(kind, classification);
         // Scheme names ("S-NUCA (LRU)") are longer than figure labels
         // ("LRU"); just require the summary to be tagged with one.
         assert!(!out.scheme.is_empty(), "{kind:?}");
@@ -52,14 +60,12 @@ fn quickstart_whirltool_classification_path() {
     // The automatic-classification variant of the quickstart: WhirlTool
     // profiles the train input, clusters, and the scheme consumes the
     // resulting pools.
-    let out = run_single_app(
+    let out = run(
         SchemeKind::Whirlpool,
-        "delaunay",
         Classification::WhirlTool {
             pools: 3,
             train: true,
         },
-        INSTRS,
     );
     assert_eq!(out.scheme, "Whirlpool");
     assert!(out.cores[0].llc_accesses > 0);
@@ -70,13 +76,8 @@ fn quickstart_speedup_math_is_sane() {
     // Not a performance claim (budgets are tiny and this is a debug
     // build) — just that the comparison arithmetic the README quickstart
     // performs is well-defined on real run output.
-    let jig = run_single_app(SchemeKind::Jigsaw, "delaunay", Classification::None, INSTRS);
-    let wp = run_single_app(
-        SchemeKind::Whirlpool,
-        "delaunay",
-        Classification::Manual,
-        INSTRS,
-    );
+    let jig = run(SchemeKind::Jigsaw, Classification::None);
+    let wp = run(SchemeKind::Whirlpool, Classification::Manual);
     let s = speedup_pct(exec_cycles(&jig), exec_cycles(&wp));
     assert!(s.is_finite());
 }

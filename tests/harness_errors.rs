@@ -1,11 +1,11 @@
 //! The harness error surface, end to end: every misuse — unknown app,
 //! unknown scheme, over-subscribed floorplan, missing/corrupt trace,
 //! colliding trace mix — yields the matching typed [`HarnessError`]
-//! variant through `Experiment`/`RunSpec` (no panics). The matching
+//! variant through `Experiment` (no panics). The matching
 //! `trace_tool` CLI exit-code tests live with the binary, in
 //! `crates/serve/tests/cli_errors.rs`.
 
-use whirlpool_repro::harness::{Classification, Experiment, HarnessError, RunSpec, SchemeKind};
+use whirlpool_repro::harness::{Classification, Experiment, HarnessError, SchemeKind};
 
 fn temp(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("wp-errors-{}-{tag}.wpt", std::process::id()))
@@ -13,7 +13,7 @@ fn temp(tag: &str) -> std::path::PathBuf {
 
 fn capture_small(tag: &str) -> std::path::PathBuf {
     let path = temp(tag);
-    RunSpec::new(SchemeKind::SNucaLru, "delaunay")
+    Experiment::single(SchemeKind::SNucaLru, "delaunay")
         .warmup(50_000)
         .measure(100_000)
         .capture_to(&path)
@@ -30,7 +30,7 @@ fn capture_small(tag: &str) -> std::path::PathBuf {
 fn unknown_app_yields_typed_error_with_suggestion() {
     for result in [
         Experiment::single(SchemeKind::SNucaLru, "delauny").run(),
-        RunSpec::new(SchemeKind::SNucaLru, "delauny").run(),
+        Experiment::single(SchemeKind::SNucaLru, "delauny").run(),
         Experiment::mix(SchemeKind::SNucaLru, &["mcf", "delauny"]).run(),
     ] {
         match result {

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from allocator to
 //! simulator, on small budgets suitable for debug-mode CI.
 
-use whirlpool::{PoolAllocator, VcRegistry, WhirlpoolScheme};
+use whirlpool::{PoolAllocator, VcRegistry};
 use whirlpool_repro::harness::{four_core_config, Experiment, SchemeKind};
 use wp_noc::CoreId;
 use wp_sim::{LlcScheme, WorkloadBundle};
@@ -66,9 +66,9 @@ fn allocator_to_scheme_page_flow() {
     assert!(descs[0].pages.contains(&a.page()));
     // Feed them to Whirlpool: a VC must be created for the pool.
     let sys = four_core_config();
-    let mut scheme = WhirlpoolScheme::new(sys);
+    let mut scheme = whirlpool::scheme(sys);
     scheme.attach_core(CoreId(0), &descs);
-    let labels: Vec<String> = scheme.runtime().vcs().iter().map(|v| v.label()).collect();
+    let labels: Vec<String> = scheme.vcs().iter().map(|v| v.label()).collect();
     assert!(labels.contains(&"grid".to_string()));
 }
 

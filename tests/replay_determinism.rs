@@ -8,10 +8,16 @@
 //! the driver is deterministic given the event stream, so a recorded run
 //! is fully reproducible without its generating model.
 
-use whirlpool_repro::harness::{Classification, RunSpec, SchemeKind};
+use whirlpool_repro::harness::{
+    four_core_config, make_scheme, Classification, Experiment, SchemeKind,
+};
+use wp_sim::{trace_bundle, PerEvent};
 
 const WARMUP: u64 = 400_000;
 const MEASURE: u64 = 400_000;
+/// Per-core budgets of the 4-core mix capture.
+const MIX_WARMUP: u64 = 100_000;
+const MIX_MEASURE: u64 = 150_000;
 
 fn temp(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("wp-replay-det-{}-{tag}.wpt", std::process::id()))
@@ -21,14 +27,14 @@ fn temp(tag: &str) -> std::path::PathBuf {
 fn every_fig10_scheme_replays_bit_identically() {
     for kind in SchemeKind::FIG10 {
         let path = temp(kind.label());
-        let live = RunSpec::new(kind, "delaunay")
+        let live = Experiment::single(kind, "delaunay")
             .warmup(WARMUP)
             .measure(MEASURE)
             .capture_to(&path)
             .run()
             .expect("capture run");
         let uri = format!("trace:{}", path.display());
-        let replayed = RunSpec::new(kind, &uri)
+        let replayed = Experiment::single(kind, &uri)
             .warmup(WARMUP)
             .measure(MEASURE)
             .run()
@@ -60,39 +66,72 @@ fn every_fig10_scheme_replays_bit_identically() {
     }
 }
 
+/// The simulator's one delivery path (batched fill + `access_batch`) must be
+/// observationally invisible: for every scheme, replaying a capture
+/// through it and through the per-event reference adapter
+/// ([`PerEvent`]: one `next_event` and one `access` per event) yields
+/// bit-identical summaries — for a single stream and for all four
+/// streams of a mix capture.
 #[test]
-fn every_fig10_scheme_batched_replay_matches_per_event() {
-    // The batched (column-slice, zero-copy) delivery path must be
-    // observationally invisible: for every scheme, replaying the same
-    // capture per-event and batched yields bit-identical summaries.
-    use whirlpool_repro::harness::Experiment;
-    use wp_sim::ExecMode;
-    let path = temp("exec-mode");
+fn every_scheme_matches_the_per_event_reference() {
+    // Captured with the manual pools, so the pool-aware schemes replay
+    // with their per-pool VCs.
+    let single = temp("ref-single");
     Experiment::single(SchemeKind::SNucaLru, "delaunay")
+        .classification(Classification::Manual)
         .warmup(WARMUP)
         .measure(MEASURE)
-        .capture_to(&path)
+        .capture_to(&single)
         .run()
-        .expect("capture run");
-    for kind in SchemeKind::FIG10 {
-        let run = |mode| {
-            Experiment::replay(kind, &path)
-                .warmup(WARMUP)
-                .measure(MEASURE)
-                .exec_mode(mode)
-                .run()
-                .expect("replay run")
-        };
-        let per_event = run(ExecMode::PerEvent);
-        let batched = run(ExecMode::Batched);
-        assert_eq!(
-            per_event.to_json(),
-            batched.to_json(),
-            "{kind:?}: batched replay diverged from per-event"
-        );
-        assert!(per_event.cores[0].instructions >= MEASURE, "{kind:?} ran");
+        .expect("single capture");
+    let mix = temp("ref-mix");
+    Experiment::mix(SchemeKind::SNucaLru, &["delaunay", "mcf", "lbm", "milc"])
+        .classification(Classification::Manual)
+        .warmup(MIX_WARMUP)
+        .measure(MIX_MEASURE)
+        .capture_to(&mix)
+        .run()
+        .expect("mix capture");
+    for (trace, streams) in [(&single, 1), (&mix, 4)] {
+        let pools: usize = (0..streams)
+            .map(|s| trace_bundle(trace, s, true).unwrap().pools.len())
+            .sum();
+        assert!(pools > 0, "{} recorded no pools", trace.display());
     }
-    std::fs::remove_file(&path).unwrap();
+    let sys = four_core_config();
+    for kind in SchemeKind::ALL {
+        for (trace, streams, (warmup, measure)) in [
+            (&single, vec![0], (WARMUP, MEASURE)),
+            (&mix, vec![0, 1, 2, 3], (MIX_WARMUP, MIX_MEASURE)),
+        ] {
+            let batched = Experiment::replay(kind, trace)
+                .streams(streams.clone())
+                .warmup(warmup)
+                .measure(measure)
+                .run()
+                .expect("batched replay");
+            let bundles = streams
+                .iter()
+                .map(|&s| PerEvent::bundle(trace_bundle(trace, s, kind.uses_pools()).unwrap()))
+                .collect();
+            let (reference, _) = Experiment::bundles(kind, bundles)
+                .warmup(warmup)
+                .measure(measure)
+                .run_with_scheme(PerEvent(make_scheme(kind, &sys)))
+                .expect("reference replay");
+            assert_eq!(
+                batched.to_json(),
+                reference.summary.to_json(),
+                "{kind:?} on {} streams: batched replay diverged from the reference",
+                streams.len()
+            );
+            for core in &batched.cores[..streams.len()] {
+                assert!(core.instructions >= measure, "{kind:?} ran");
+            }
+        }
+    }
+    std::fs::remove_file(&single).unwrap();
+    std::fs::remove_file(&mix).unwrap();
 }
 
 #[test]
@@ -101,14 +140,14 @@ fn replay_without_pools_strips_classification() {
     // hand the recorded pools to the scheme: it degenerates to the
     // thread-VC-only configuration and (in general) different stats.
     let path = temp("strip");
-    let live = RunSpec::new(SchemeKind::Whirlpool, "delaunay")
+    let live = Experiment::single(SchemeKind::Whirlpool, "delaunay")
         .warmup(WARMUP)
         .measure(MEASURE)
         .capture_to(&path)
         .run()
         .expect("capture");
     let uri = format!("trace:{}", path.display());
-    let stripped = RunSpec::new(SchemeKind::Whirlpool, &uri)
+    let stripped = Experiment::single(SchemeKind::Whirlpool, &uri)
         .classification(Classification::None)
         .warmup(WARMUP)
         .measure(MEASURE)
@@ -137,9 +176,8 @@ fn replay_without_pools_strips_classification() {
 
 #[test]
 fn trace_uri_works_in_a_multiprogram_mix() {
-    use whirlpool_repro::harness::Experiment;
     let path = temp("mix");
-    RunSpec::new(SchemeKind::SNucaLru, "delaunay")
+    Experiment::single(SchemeKind::SNucaLru, "delaunay")
         .warmup(100_000)
         .measure(150_000)
         .capture_to(&path)
