@@ -16,11 +16,16 @@ use wp_cache::{AccessOutcome, LruPolicy, SetAssocCache};
 use wp_mem::LineAddr;
 use wp_noc::{BankId, CoreId};
 use wp_sim::{
-    AccessContext, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, SystemConfig, Uncore,
+    AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor,
+    SystemConfig, Uncore,
 };
 
 /// Private L3 capacity: 3 × 512 KB = 1.5 MB per core.
 const L3_BANKS_REPLICATED: u64 = 3;
+
+/// How far ahead of the event being served the batched access path hints
+/// the L3 and L4 sets of an upcoming event's line.
+const LOOKAHEAD: usize = 32;
 
 /// The IdealSPD scheme.
 pub struct IdealSpdScheme {
@@ -63,31 +68,26 @@ impl IdealSpdScheme {
         h ^= h >> 29;
         BankId((h % self.num_banks) as u16)
     }
-}
 
-impl LlcScheme for IdealSpdScheme {
-    fn name(&self) -> String {
-        "IdealSPD".into()
-    }
-
-    fn attach_core(&mut self, _core: CoreId, _pools: &[PoolDescriptor]) {}
-
-    fn access(&mut self, ctx: AccessContext, uncore: &mut Uncore) -> LlcResponse {
-        let core_idx = ctx.core.0 as usize;
-        let near_bank = uncore.plan().banks_by_distance(ctx.core)[0];
+    /// Serves one access: the single per-event body behind both
+    /// [`LlcScheme::access`] and [`LlcScheme::access_batch`].
+    #[inline]
+    fn serve(&mut self, core: CoreId, line: LineAddr, uncore: &mut Uncore) -> LlcResponse {
+        let core_idx = core.0 as usize;
+        let near_bank = uncore.plan().banks_by_distance(core)[0];
         // 1. Private L3 (the 3 replicated nearby banks).
-        match self.l3[core_idx].access(ctx.line.0) {
+        match self.l3[core_idx].access(line.0) {
             AccessOutcome::Hit => LlcResponse {
-                latency: uncore.bank_hit(ctx.core, near_bank),
+                latency: uncore.bank_hit(core, near_bank),
                 outcome: LlcOutcome::Hit,
             },
             AccessOutcome::Miss { evicted } => {
                 // The L3 check happened and missed: pay the lookup.
-                let l3_lookup = uncore.bank_lookup_miss(ctx.core, near_bank);
+                let l3_lookup = uncore.bank_lookup_miss(core, near_bank);
                 // Exclusive hierarchy: the L3 victim spills into its L4 bank.
                 if let Some(victim) = evicted {
                     let vbank = self.l4_bank_of(LineAddr(victim));
-                    uncore.charge_core_bank_data(ctx.core, vbank);
+                    uncore.charge_core_bank_data(core, vbank);
                     uncore.charge_bank_insert();
                     if let AccessOutcome::Miss {
                         evicted: Some(_l4_victim),
@@ -99,24 +99,69 @@ impl LlcScheme for IdealSpdScheme {
                 // 2. L4 victim bank, in parallel with the directory.
                 //    (Tag probe only: an exclusive L4 never fills on the
                 //    demand path — lines enter it solely via L3 victims.)
-                let l4_bank = self.l4_bank_of(ctx.line);
-                if self.l4[l4_bank.0 as usize].contains(ctx.line.0) {
+                let l4_bank = self.l4_bank_of(line);
+                if self.l4[l4_bank.0 as usize].contains(line.0) {
                     // Exclusive: promote to L3 (already filled above by the
                     // `access` that brought the line in), remove from L4.
-                    self.l4[l4_bank.0 as usize].invalidate(ctx.line.0);
-                    let lat = uncore.bank_hit(ctx.core, l4_bank);
+                    self.l4[l4_bank.0 as usize].invalidate(line.0);
+                    let lat = uncore.bank_hit(core, l4_bank);
                     LlcResponse {
                         latency: l3_lookup + lat,
                         outcome: LlcOutcome::Hit,
                     }
                 } else {
-                    let lat = uncore.bank_miss_to_memory(ctx.core, l4_bank, ctx.line);
+                    let lat = uncore.bank_miss_to_memory(core, l4_bank, line);
                     LlcResponse {
                         latency: l3_lookup + lat,
                         outcome: LlcOutcome::Miss,
                     }
                 }
             }
+        }
+    }
+
+    /// Hints the sets an access to `line` from `core` probes first.
+    #[inline]
+    fn prefetch(&self, core: CoreId, line: LineAddr) {
+        self.l3[usize::from(core.0)].prefetch(line.0);
+        self.l4[usize::from(self.l4_bank_of(line).0)].prefetch(line.0);
+    }
+}
+
+impl LlcScheme for IdealSpdScheme {
+    fn name(&self) -> String {
+        "IdealSPD".into()
+    }
+
+    fn attach_core(&mut self, _core: CoreId, _pools: &[PoolDescriptor]) {}
+
+    fn access(&mut self, ctx: AccessContext, uncore: &mut Uncore) -> LlcResponse {
+        self.serve(ctx.core, ctx.line, uncore)
+    }
+
+    fn access_batch(
+        &mut self,
+        core: CoreId,
+        batch: &EventBatch,
+        clock: &mut BatchClock,
+        uncore: &mut Uncore,
+        out: &mut Vec<LlcResponse>,
+    ) {
+        // The per-event loop of the trait default, plus a pure prefetch
+        // of the private L3 set and the L4 bank set that event
+        // `i + LOOKAHEAD` will probe.
+        let lines = &batch.lines;
+        for &line in lines.iter().take(LOOKAHEAD) {
+            self.prefetch(core, line);
+        }
+        for i in 0..batch.len() {
+            if let Some(&line) = lines.get(i + LOOKAHEAD) {
+                self.prefetch(core, line);
+            }
+            clock.pre_access(batch.gaps[i], uncore);
+            let resp = self.serve(core, lines[i], uncore);
+            clock.post_access(resp.latency);
+            out.push(resp);
         }
     }
 

@@ -21,8 +21,13 @@ use wp_mem::LineAddr;
 use wp_mrc::MissCurve;
 use wp_noc::{BankId, CoreId};
 use wp_sim::{
-    AccessContext, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, SystemConfig, Uncore,
+    AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor,
+    SystemConfig, Uncore,
 };
+
+/// How far ahead of the event being served the batched access path hints
+/// the LRU index slot of an upcoming event's line.
+const LOOKAHEAD: usize = 16;
 
 /// Per-core bookkeeping: cumulative demand plus the last blended curve.
 #[derive(Debug, Default)]
@@ -105,6 +110,30 @@ impl MemshareScheme {
         h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         h ^= h >> 29;
         BankId((h % self.num_banks) as u16)
+    }
+
+    /// Serves one access: the single per-event body behind both
+    /// [`LlcScheme::access`] and [`LlcScheme::access_batch`].
+    #[inline]
+    fn serve(&mut self, core: CoreId, line: LineAddr, uncore: &mut Uncore) -> LlcResponse {
+        let core_idx = core.0 as usize;
+        let bank = self.bank_of(line);
+        self.monitors[core_idx].record(line.0);
+        self.tenants[core_idx].accesses += 1;
+        match self.parts.access(core_idx as u32, line.0) {
+            AccessOutcome::Hit => LlcResponse {
+                latency: uncore.bank_hit(core, bank),
+                outcome: LlcOutcome::Hit,
+            },
+            AccessOutcome::Miss { .. } => {
+                self.tenants[core_idx].misses += 1;
+                uncore.charge_bank_insert();
+                LlcResponse {
+                    latency: uncore.bank_miss_to_memory(core, bank, line),
+                    outcome: LlcOutcome::Miss,
+                }
+            }
+        }
     }
 
     /// Greedy from-zero reallocation with lookahead: repeatedly grant
@@ -191,23 +220,33 @@ impl LlcScheme for MemshareScheme {
     fn attach_core(&mut self, _core: CoreId, _pools: &[PoolDescriptor]) {}
 
     fn access(&mut self, ctx: AccessContext, uncore: &mut Uncore) -> LlcResponse {
-        let core_idx = ctx.core.0 as usize;
-        let bank = self.bank_of(ctx.line);
-        self.monitors[core_idx].record(ctx.line.0);
-        self.tenants[core_idx].accesses += 1;
-        match self.parts.access(core_idx as u32, ctx.line.0) {
-            AccessOutcome::Hit => LlcResponse {
-                latency: uncore.bank_hit(ctx.core, bank),
-                outcome: LlcOutcome::Hit,
-            },
-            AccessOutcome::Miss { .. } => {
-                self.tenants[core_idx].misses += 1;
-                uncore.charge_bank_insert();
-                LlcResponse {
-                    latency: uncore.bank_miss_to_memory(ctx.core, bank, ctx.line),
-                    outcome: LlcOutcome::Miss,
-                }
+        self.serve(ctx.core, ctx.line, uncore)
+    }
+
+    fn access_batch(
+        &mut self,
+        core: CoreId,
+        batch: &EventBatch,
+        clock: &mut BatchClock,
+        uncore: &mut Uncore,
+        out: &mut Vec<LlcResponse>,
+    ) {
+        // The per-event loop of the trait default, plus a pure prefetch
+        // of the LRU index slot event `i + LOOKAHEAD` will probe (the
+        // whole batch is `core`'s, so its partition is known).
+        let part = u32::from(core.0);
+        let lines = &batch.lines;
+        for line in lines.iter().take(LOOKAHEAD) {
+            self.parts.prefetch(part, line.0);
+        }
+        for i in 0..batch.len() {
+            if let Some(line) = lines.get(i + LOOKAHEAD) {
+                self.parts.prefetch(part, line.0);
             }
+            clock.pre_access(batch.gaps[i], uncore);
+            let resp = self.serve(core, lines[i], uncore);
+            clock.post_access(resp.latency);
+            out.push(resp);
         }
     }
 

@@ -27,13 +27,20 @@
 //! batched scheme loops with software prefetch, is the headline
 //! `warm_sweep_speedup` (geometric mean of per-cell speedups, the same
 //! aggregation the repo's figures use).
+//!
+//! A second gate isolates the paper's own scheme: `whirlpool_batched_speedup`
+//! replays the same capture (recorded with the manual pools) under
+//! Whirlpool with batched workloads in both arms, and only the scheme
+//! wrapped in [`PerEvent`] for the reference — so the ratio is what
+//! `NucaRuntime::access_batch`'s lookahead buys over per-event `access`.
+//! Each arm keeps its best of [`WP_REPEATS`] alternating runs.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
 use whirlpool_repro::harness::{
-    four_core_config, make_scheme, sixteen_core_config, Experiment, SchemeKind,
+    four_core_config, make_scheme, sixteen_core_config, Classification, Experiment, SchemeKind,
 };
 use wp_bench::gmean;
 use wp_sim::{trace_bundle, PerEvent, RunSummary, SystemConfig};
@@ -44,6 +51,10 @@ const MIX_APPS: [&str; 16] = [
     "delaunay", "mcf", "lbm", "milc", "delaunay", "mcf", "lbm", "milc", "delaunay", "mcf", "lbm",
     "milc", "delaunay", "mcf", "lbm", "milc",
 ];
+
+/// Alternating runs per arm of the Whirlpool cell; each arm keeps its
+/// fastest, so one host hiccup cannot move the gate.
+const WP_REPEATS: usize = 3;
 
 fn temp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("wp-sweep-bench-{}-{tag}.wpt", std::process::id()))
@@ -160,6 +171,48 @@ fn run_cell(name: &str, events: u64, run: impl Fn(bool) -> RunSummary) -> Cell {
     }
 }
 
+/// Replays every stream of `cap` on `sys` under Whirlpool: the batched
+/// path, or (`per_event`) the same batched workloads with the scheme in
+/// the [`PerEvent`] adapter.
+fn replay_whirlpool(cap: &Path, sys: &SystemConfig, per_event: bool) -> RunSummary {
+    let kind = SchemeKind::Whirlpool;
+    let exp = Experiment::replay(kind, cap)
+        .all_streams()
+        .system(sys.clone());
+    if per_event {
+        exp.run_with_scheme(PerEvent(make_scheme(kind, sys)))
+            .map(|(run, _)| run.summary)
+    } else {
+        exp.run()
+    }
+    .expect("whirlpool replay")
+}
+
+/// The Whirlpool cell: best of [`WP_REPEATS`] alternating runs per arm,
+/// every run's summary asserted bit-identical to the first one's.
+fn whirlpool_cell(cap: &Path, sys: &SystemConfig, events: u64) -> Cell {
+    let mut reference = None;
+    let (mut per_event_ns, mut batched_ns) = (u128::MAX, u128::MAX);
+    for _ in 0..WP_REPEATS {
+        for (per_event, best) in [(true, &mut per_event_ns), (false, &mut batched_ns)] {
+            let t0 = Instant::now();
+            let run = replay_whirlpool(cap, sys, per_event).to_json();
+            *best = (*best).min(t0.elapsed().as_nanos());
+            let reference = reference.get_or_insert_with(|| run.clone());
+            assert_eq!(
+                &run, reference,
+                "Whirlpool batched replay diverged from per-event"
+            );
+        }
+    }
+    Cell {
+        name: "whirlpool_all_streams".to_string(),
+        events,
+        per_event_ns,
+        batched_ns,
+    }
+}
+
 /// One-shot smoke measurement: the warm-sweep data point for
 /// `BENCH_sweep.json`. `WP_BENCH_SWEEP_MEASURE` overrides the per-core
 /// measure budget (instructions) of the recorded mix.
@@ -170,9 +223,12 @@ fn smoke() {
         .unwrap_or(2_000_000);
     let cap = temp("smoke");
 
-    // Cold cell: live 16-core mix run, captured to the trace cache.
+    // Cold cell: live 16-core mix run, captured to the trace cache. The
+    // capture records the manual pools for the Whirlpool cell; LRU
+    // replays strip them.
     let t0 = Instant::now();
     Experiment::mix(SchemeKind::SNucaLru, &MIX_APPS)
+        .classification(Classification::Manual)
         .measure(measure)
         .system(sixteen_core_config())
         .capture_to(&cap)
@@ -197,6 +253,7 @@ fn smoke() {
             |per_event| replay(&cap, Some(k), &sys4, per_event, None),
         ));
     }
+    let wp = whirlpool_cell(&cap, &sys16, total);
     let _ = std::fs::remove_file(&cap);
 
     let warm_events: u64 = cells.iter().map(|c| c.events).sum();
@@ -209,6 +266,7 @@ fn smoke() {
     let per_event_evps = evps(warm_events, per_event_ns);
     let batched_evps = evps(warm_events, batched_ns);
     let aggregate_speedup = per_event_ns as f64 / batched_ns as f64;
+    let wp_speedup = wp.speedup();
 
     let cell_json: Vec<String> = cells.iter().map(Cell::to_json).collect();
     let json = format!(
@@ -221,10 +279,13 @@ fn smoke() {
          \"batched_events_per_sec\":{batched_evps:.0},\
          \"aggregate_speedup\":{aggregate_speedup:.2},\
          \"gmean_cell_speedup\":{warm_sweep_speedup:.2}}},\
+         \"whirlpool\":{},\
          \"gate\":{{\"warm_sweep_speedup\":{warm_sweep_speedup:.2},\
-         \"batched_events_per_sec\":{batched_evps:.0}}}}}",
+         \"batched_events_per_sec\":{batched_evps:.0},\
+         \"whirlpool_batched_speedup\":{wp_speedup:.2}}}}}",
         info.streams.len(),
         cell_json.join(","),
+        wp.to_json(),
     );
     let out = std::env::var_os("WP_BENCH_JSON")
         .map(PathBuf::from)

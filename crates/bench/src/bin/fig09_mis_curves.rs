@@ -8,6 +8,9 @@ use wp_noc::{CoreId, NearestBanksLatency};
 use wp_sim::Workload;
 use wp_workloads::{registry, AppModel};
 
+/// Curve resolution: 64 KB granules.
+const GRANULE_LINES: u64 = 1024;
+
 fn main() {
     let sys = four_core_config();
     let model = AppModel::new(registry::spec("MIS"));
@@ -19,7 +22,10 @@ fn main() {
         }
     }
     // Sampled profiling (the edges pool is 24 MB; sampling keeps it cheap).
-    let mut stacks: Vec<SampledStack> = descs.iter().map(|_| SampledStack::new(2)).collect();
+    let mut stacks: Vec<SampledStack> = descs
+        .iter()
+        .map(|_| SampledStack::new(2, GRANULE_LINES))
+        .collect();
     let mut counts = vec![0u64; descs.len()];
     let mut trace = model.trace();
     let mut instrs = 0u64;
@@ -42,7 +48,7 @@ fn main() {
     println!();
     let mut curves = Vec::new();
     for (i, d) in descs.iter().enumerate() {
-        let c = MissCurve::from_histogram(stacks[i].histogram(), instrs, 1024)
+        let c = MissCurve::from_histogram(&stacks[i].histogram(), instrs, GRANULE_LINES)
             .resized(total_granules + 1)
             .monotonized();
         print!("{:>10}", d.name);

@@ -13,6 +13,9 @@
 //!   several virtual caches.
 //! * [`UtilityMonitor`] — the GMON model: a sampled stack-distance monitor
 //!   that yields per-interval [`wp_mrc::MissCurve`]s with EWMA ageing.
+//! * [`U64Map`] — the open-addressing `u64`-keyed table behind
+//!   [`LruCache`]'s index and the NUCA page map, with a
+//!   [`prefetch`](U64Map::prefetch) hint for batched access loops.
 //!
 //! # Example
 //!
@@ -37,6 +40,7 @@ mod partitioned;
 mod policy;
 mod prefetch;
 mod setassoc;
+mod table;
 
 pub use lru::{AccessOutcome, LruCache};
 pub use monitor::{MonitorConfig, UtilityMonitor};
@@ -44,3 +48,4 @@ pub use partitioned::PartitionedCache;
 pub use policy::{DrripPolicy, LruPolicy, RandomPolicy, ReplacementPolicy, SrripPolicy};
 pub use prefetch::{advise_hugepages, prefetch_read};
 pub use setassoc::{CacheStats, SetAssocCache};
+pub use table::U64Map;

@@ -1,6 +1,6 @@
 //! An exact-capacity LRU line store.
 
-use wp_mrc::FastMap;
+use crate::table::U64Map;
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,26 +21,28 @@ pub enum AccessOutcome {
 /// This is the model for a pool's slice of LLC capacity: Jigsaw/Whirlpool
 /// enforce per-VC quotas with fine-grain partitioning (Vantage), which
 /// approximates exactly this — an LRU-managed region of a fixed number of
-/// lines. It is implemented as a slab-backed doubly-linked list plus a
-/// `HashMap` index, giving O(1) access, insert, and evict.
+/// lines. It is implemented as a slab-backed doubly-linked list (`u32`
+/// links) plus a [`U64Map`] index, giving O(1) access, insert, and evict.
+/// [`prefetch`](Self::prefetch) hints a line's index slot ahead of an
+/// access.
 #[derive(Debug, Clone)]
 pub struct LruCache {
-    index: FastMap<u64, usize>,
+    index: U64Map<u32>,
     nodes: Vec<Node>,
-    free: Vec<usize>,
-    head: usize, // MRU
-    tail: usize, // LRU
+    free: Vec<u32>,
+    head: u32, // MRU
+    tail: u32, // LRU
     capacity: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
     addr: u64,
-    prev: usize,
-    next: usize,
+    prev: u32,
+    next: u32,
 }
 
-const NIL: usize = usize::MAX;
+const NIL: u32 = u32::MAX;
 
 impl LruCache {
     /// Creates an empty cache holding at most `capacity` lines.
@@ -48,7 +50,7 @@ impl LruCache {
     /// that is how a bypassed VC's residual footprint is modelled.
     pub fn new(capacity: usize) -> Self {
         Self {
-            index: FastMap::default(),
+            index: U64Map::new(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -74,14 +76,21 @@ impl LruCache {
 
     /// Whether `addr` is resident (does not touch recency).
     pub fn contains(&self, addr: u64) -> bool {
-        self.index.contains_key(&addr)
+        self.index.contains_key(addr)
+    }
+
+    /// Hints the host CPU to pull in `addr`'s index slot ahead of an
+    /// [`access`](Self::access) — a pure performance hint.
+    #[inline]
+    pub fn prefetch(&self, addr: u64) {
+        self.index.prefetch(addr);
     }
 
     /// Accesses `addr`: hit promotes to MRU; miss inserts at MRU, evicting
     /// the LRU line if at capacity. Zero-capacity caches always miss and
     /// never insert.
     pub fn access(&mut self, addr: u64) -> AccessOutcome {
-        if let Some(&slot) = self.index.get(&addr) {
+        if let Some(&slot) = self.index.get(addr) {
             self.unlink(slot);
             self.push_front(slot);
             return AccessOutcome::Hit;
@@ -103,7 +112,7 @@ impl LruCache {
 
     /// Removes `addr` if resident; returns whether it was present.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        match self.index.remove(&addr) {
+        match self.index.remove(addr) {
             Some(slot) => {
                 self.unlink(slot);
                 self.free.push(slot);
@@ -119,9 +128,9 @@ impl LruCache {
             return None;
         }
         let slot = self.tail;
-        let addr = self.nodes[slot].addr;
+        let addr = self.nodes[slot as usize].addr;
         self.unlink(slot);
-        self.index.remove(&addr);
+        self.index.remove(addr);
         self.free.push(slot);
         Some(addr)
     }
@@ -162,29 +171,31 @@ impl LruCache {
         }
     }
 
-    fn alloc(&mut self, addr: u64) -> usize {
+    fn alloc(&mut self, addr: u64) -> u32 {
+        let node = Node {
+            addr,
+            prev: NIL,
+            next: NIL,
+        };
         if let Some(slot) = self.free.pop() {
-            self.nodes[slot] = Node {
-                addr,
-                prev: NIL,
-                next: NIL,
-            };
+            self.nodes[slot as usize] = node;
             slot
         } else {
-            self.nodes.push(Node {
-                addr,
-                prev: NIL,
-                next: NIL,
-            });
-            self.nodes.len() - 1
+            let slot = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&s| s != NIL)
+                .expect("LruCache holds fewer than 2^32 - 1 lines");
+            self.nodes.push(node);
+            slot
         }
     }
 
-    fn push_front(&mut self, slot: usize) {
-        self.nodes[slot].prev = NIL;
-        self.nodes[slot].next = self.head;
+    fn push_front(&mut self, slot: u32) {
+        let node = &mut self.nodes[slot as usize];
+        node.prev = NIL;
+        node.next = self.head;
         if self.head != NIL {
-            self.nodes[self.head].prev = slot;
+            self.nodes[self.head as usize].prev = slot;
         }
         self.head = slot;
         if self.tail == NIL {
@@ -192,20 +203,21 @@ impl LruCache {
         }
     }
 
-    fn unlink(&mut self, slot: usize) {
-        let Node { prev, next, .. } = self.nodes[slot];
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
         if prev != NIL {
-            self.nodes[prev].next = next;
+            self.nodes[prev as usize].next = next;
         } else if self.head == slot {
             self.head = next;
         }
         if next != NIL {
-            self.nodes[next].prev = prev;
+            self.nodes[next as usize].prev = prev;
         } else if self.tail == slot {
             self.tail = prev;
         }
-        self.nodes[slot].prev = NIL;
-        self.nodes[slot].next = NIL;
+        let node = &mut self.nodes[slot as usize];
+        node.prev = NIL;
+        node.next = NIL;
     }
 }
 
@@ -213,7 +225,7 @@ impl LruCache {
 #[derive(Debug)]
 pub struct LruIter<'a> {
     cache: &'a LruCache,
-    cursor: usize,
+    cursor: u32,
 }
 
 impl Iterator for LruIter<'_> {
@@ -223,7 +235,7 @@ impl Iterator for LruIter<'_> {
         if self.cursor == NIL {
             return None;
         }
-        let node = self.cache.nodes[self.cursor];
+        let node = self.cache.nodes[self.cursor as usize];
         self.cursor = node.next;
         Some(node.addr)
     }

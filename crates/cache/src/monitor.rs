@@ -57,7 +57,7 @@ impl UtilityMonitor {
         );
         Self {
             config,
-            stack: SampledStack::new(config.sample_rate_log2),
+            stack: SampledStack::new(config.sample_rate_log2, config.granule_lines),
             accesses: 0,
             last_curve: None,
         }

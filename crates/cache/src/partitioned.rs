@@ -1,8 +1,6 @@
 //! A capacity-partitioned cache shared by several partitions (virtual
 //! caches), with LRU within each partition's quota.
 
-use std::collections::HashMap;
-
 use crate::lru::{AccessOutcome, LruCache};
 
 /// A cache whose line capacity is divided among *partitions*, each managed
@@ -13,10 +11,12 @@ use crate::lru::{AccessOutcome, LruCache};
 /// boundaries. Quota changes evict LRU lines from shrunken partitions,
 /// mirroring Jigsaw's incremental reconfiguration invalidations.
 ///
-/// Partition ids are caller-assigned `u32`s (VC ids in the simulator).
+/// Partition ids are caller-assigned `u32`s (VC ids in the simulator, core
+/// ids in Memshare). They are small and dense, so partitions live in a
+/// `Vec` indexed by id.
 #[derive(Debug, Default)]
 pub struct PartitionedCache {
-    parts: HashMap<u32, LruCache>,
+    parts: Vec<Option<LruCache>>,
     total_capacity: usize,
 }
 
@@ -26,7 +26,7 @@ impl PartitionedCache {
     /// per-partition capacities, and `debug_assert`s the sum stays within it.
     pub fn new(total_capacity: usize) -> Self {
         Self {
-            parts: HashMap::new(),
+            parts: Vec::new(),
             total_capacity,
         }
     }
@@ -38,14 +38,32 @@ impl PartitionedCache {
 
     /// Sum of quotas currently assigned.
     pub fn assigned_capacity(&self) -> usize {
-        self.parts.values().map(|p| p.capacity()).sum()
+        self.parts.iter().flatten().map(LruCache::capacity).sum()
+    }
+
+    #[inline]
+    fn part(&self, id: u32) -> Option<&LruCache> {
+        self.parts.get(id as usize).and_then(Option::as_ref)
+    }
+
+    #[inline]
+    fn part_mut(&mut self, id: u32) -> Option<&mut LruCache> {
+        self.parts.get_mut(id as usize).and_then(Option::as_mut)
+    }
+
+    /// Partition `id`, created with quota `lines` if absent.
+    fn part_or_insert(&mut self, id: u32, lines: usize) -> &mut LruCache {
+        let i = id as usize;
+        if i >= self.parts.len() {
+            self.parts.resize_with(i + 1, || None);
+        }
+        self.parts[i].get_or_insert_with(|| LruCache::new(lines))
     }
 
     /// Sets partition `id`'s quota to `lines`, creating it if absent.
     /// Returns lines evicted if the partition shrank.
     pub fn set_quota(&mut self, id: u32, lines: usize) -> Vec<u64> {
-        let part = self.parts.entry(id).or_insert_with(|| LruCache::new(lines));
-        let evicted = part.resize(lines);
+        let evicted = self.part_or_insert(id, lines).resize(lines);
         debug_assert!(
             self.assigned_capacity() <= self.total_capacity,
             "partition quotas exceed the bank budget"
@@ -56,53 +74,66 @@ impl PartitionedCache {
     /// Sets partition `id`'s quota without evicting: over-quota occupancy
     /// drains as the partition's own insertions arrive (soft shrinking).
     pub fn set_quota_lazy(&mut self, id: u32, lines: usize) {
-        self.parts
-            .entry(id)
-            .or_insert_with(|| LruCache::new(lines))
-            .resize_lazy(lines);
+        self.part_or_insert(id, lines).resize_lazy(lines);
     }
 
     /// Current quota of partition `id` (0 if absent).
     pub fn quota(&self, id: u32) -> usize {
-        self.parts.get(&id).map_or(0, |p| p.capacity())
+        self.part(id).map_or(0, LruCache::capacity)
     }
 
     /// Resident lines of partition `id`.
     pub fn occupancy(&self, id: u32) -> usize {
-        self.parts.get(&id).map_or(0, |p| p.len())
+        self.part(id).map_or(0, LruCache::len)
     }
 
     /// Accesses `addr` within partition `id`. A partition with no quota (or
     /// never configured) always misses without inserting.
+    #[inline]
     pub fn access(&mut self, id: u32, addr: u64) -> AccessOutcome {
-        match self.parts.get_mut(&id) {
+        match self.part_mut(id) {
             Some(p) => p.access(addr),
             None => AccessOutcome::Miss { evicted: None },
         }
     }
 
+    /// Hints the host CPU to pull in what an [`access`](Self::access) of
+    /// `addr` in partition `id` will probe first — a pure performance
+    /// hint.
+    #[inline]
+    pub fn prefetch(&self, id: u32, addr: u64) {
+        if let Some(p) = self.part(id) {
+            p.prefetch(addr);
+        }
+    }
+
     /// Whether `addr` is resident in partition `id`.
     pub fn contains(&self, id: u32, addr: u64) -> bool {
-        self.parts.get(&id).is_some_and(|p| p.contains(addr))
+        self.part(id).is_some_and(|p| p.contains(addr))
     }
 
     /// Invalidates `addr` in partition `id`.
     pub fn invalidate(&mut self, id: u32, addr: u64) -> bool {
-        self.parts.get_mut(&id).is_some_and(|p| p.invalidate(addr))
+        self.part_mut(id).is_some_and(|p| p.invalidate(addr))
     }
 
     /// Removes partition `id` entirely, returning its resident lines
     /// (the whole-VC invalidation used when a VC enters bypass mode).
     pub fn remove_partition(&mut self, id: u32) -> Vec<u64> {
         self.parts
-            .remove(&id)
+            .get_mut(id as usize)
+            .and_then(Option::take)
             .map(|mut p| p.drain())
             .unwrap_or_default()
     }
 
-    /// Ids of all live partitions (unordered).
+    /// Ids of all live partitions, ascending.
     pub fn partition_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.parts.keys().copied()
+        self.parts
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.is_some())
+            .map(|(i, _)| i as u32)
     }
 }
 
@@ -162,6 +193,9 @@ mod tests {
         let lines = c.remove_partition(3);
         assert_eq!(lines.len(), 2);
         assert_eq!(c.quota(3), 0);
+        assert_eq!(c.partition_ids().count(), 0);
+        c.set_quota(1, 1);
+        assert_eq!(c.partition_ids().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

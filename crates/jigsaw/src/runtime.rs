@@ -9,13 +9,13 @@
 //! byte-for-byte the same code.
 
 use std::collections::HashMap;
-use wp_mrc::FastMap;
 
-use wp_cache::{MonitorConfig, PartitionedCache};
-use wp_mem::{PageId, VcId};
+use wp_cache::{MonitorConfig, PartitionedCache, U64Map};
+use wp_mem::{LineAddr, PageId, VcId};
 use wp_noc::CoreId;
 use wp_sim::{
-    AccessContext, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, SystemConfig, Uncore,
+    AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor,
+    SystemConfig, Uncore,
 };
 
 use crate::placement::{place_and_trade, PlacementInput};
@@ -56,6 +56,22 @@ impl NucaConfig {
     }
 }
 
+/// How far ahead of the event being served [`NucaRuntime`]'s batched
+/// access path hints the page-map slot of an upcoming event's page.
+const PAGE_LOOKAHEAD: usize = 32;
+/// How far ahead it hints the LRU index slot an upcoming event will probe.
+/// Shorter than [`PAGE_LOOKAHEAD`], so the page-map slot the hint reads
+/// through is usually in cache by then.
+const LINE_LOOKAHEAD: usize = 16;
+
+/// One page-map entry: the page's VC and its first toucher (whose
+/// accesses keep the page in its thread VC under the lazy-upgrade rule).
+#[derive(Debug, Clone, Copy, Default)]
+struct PageEntry {
+    vc: u32,
+    owner: u16,
+}
+
 /// One reconfiguration's per-VC allocation rows:
 /// `(label, granules, bypassed)` for every live VC (Fig. 11a).
 pub type VcAllocations = Vec<(String, usize, bool)>;
@@ -66,10 +82,8 @@ pub struct NucaRuntime {
     config: NucaConfig,
     label: String,
     vcs: Vec<VcState>,
-    /// Page → VC index (the TLB tag store).
-    page_map: FastMap<PageId, u32>,
-    /// First-toucher of each page, for the lazy upgrade rule.
-    page_owner: FastMap<PageId, CoreId>,
+    /// Page number → VC index and first toucher (the TLB tag store).
+    page_map: U64Map<PageEntry>,
     /// One partitioned store per bank; partition key = VC index.
     banks: Vec<PartitionedCache>,
     /// Thread VC index per core (created at attach).
@@ -109,8 +123,7 @@ impl NucaRuntime {
                 .map(|_| PartitionedCache::new(lines_per_bank))
                 .collect(),
             vcs: Vec::new(),
-            page_map: FastMap::default(),
-            page_owner: FastMap::default(),
+            page_map: U64Map::new(),
             thread_vc: vec![None; num_cores],
             process_vc: 0,
             pools_per_core: vec![0; num_cores],
@@ -211,24 +224,80 @@ impl NucaRuntime {
     /// core upgrades the page to the process VC (Sec. 2.4). Pool-tagged
     /// pages never upgrade — the pool VC's center adapts instead.
     fn resolve_vc(&mut self, core: CoreId, page: PageId) -> u32 {
-        if let Some(&idx) = self.page_map.get(&page) {
+        if let Some(entry) = self.page_map.get_mut(page.0) {
+            let idx = entry.vc;
             let is_pool = matches!(self.vcs[idx as usize].kind, VcKind::UserPool { .. });
-            if !is_pool {
-                if let Some(&owner) = self.page_owner.get(&page) {
-                    if owner != core && idx != self.process_vc {
-                        // Upgrade to the process VC; resident lines in the
-                        // old VC become unreachable and age out.
-                        self.page_map.insert(page, self.process_vc);
-                        return self.process_vc;
-                    }
-                }
+            if !is_pool && entry.owner != core.0 && idx != self.process_vc {
+                // Upgrade to the process VC; resident lines in the old VC
+                // become unreachable and age out.
+                entry.vc = self.process_vc;
+                return self.process_vc;
             }
             return idx;
         }
         let idx = self.thread_vc_of(core);
-        self.page_map.insert(page, idx);
-        self.page_owner.insert(page, core);
+        self.page_map.insert(
+            page.0,
+            PageEntry {
+                vc: idx,
+                owner: core.0,
+            },
+        );
         idx
+    }
+
+    /// Serves one access: the single per-event body behind both
+    /// [`LlcScheme::access`] and [`LlcScheme::access_batch`].
+    #[inline]
+    fn serve(&mut self, core: CoreId, line: LineAddr, uncore: &mut Uncore) -> LlcResponse {
+        if !self.bootstrapped {
+            self.bootstrap(uncore);
+        }
+        let idx = self.resolve_vc(core, line.page());
+        let vc = &mut self.vcs[idx as usize];
+        vc.note_access(core);
+        vc.monitor.record(line.0);
+        if vc.bypassed {
+            vc.bypasses += 1;
+            let latency = uncore.bypass_to_memory(core, line);
+            return LlcResponse {
+                latency,
+                outcome: LlcOutcome::Bypass,
+            };
+        }
+        let bank = vc.vtb.lookup(line);
+        match self.banks[bank.0 as usize].access(idx, line.0) {
+            wp_cache::AccessOutcome::Hit => {
+                self.vcs[idx as usize].hits += 1;
+                LlcResponse {
+                    latency: uncore.bank_hit(core, bank),
+                    outcome: LlcOutcome::Hit,
+                }
+            }
+            wp_cache::AccessOutcome::Miss { .. } => {
+                self.vcs[idx as usize].misses += 1;
+                LlcResponse {
+                    latency: uncore.bank_miss_to_memory(core, bank, line),
+                    outcome: LlcOutcome::Miss,
+                }
+            }
+        }
+    }
+
+    /// Hints the LRU index slot an access to `line` will probe, going by
+    /// the VC its page maps to *now*. Only a hint: the page may be
+    /// first-touched, upgraded or bypassed before the access is served,
+    /// and [`serve`](Self::serve) resolves the VC afresh either way.
+    #[inline]
+    fn prefetch_line(&self, line: LineAddr) {
+        let Some(entry) = self.page_map.get(line.page().0) else {
+            return;
+        };
+        let vc = &self.vcs[entry.vc as usize];
+        if !vc.bypassed {
+            let bank = vc.vtb.lookup(line);
+            self.banks[bank.0 as usize].prefetch(entry.vc, line.0);
+        }
     }
 
     /// Initial configuration before the first reconfiguration: capacity is
@@ -333,44 +402,51 @@ impl LlcScheme for NucaRuntime {
                 center,
             );
             for &page in &pool.pages {
-                self.page_map.insert(page, idx);
-                self.page_owner.insert(page, core);
+                self.page_map.insert(
+                    page.0,
+                    PageEntry {
+                        vc: idx,
+                        owner: core.0,
+                    },
+                );
             }
         }
     }
 
     fn access(&mut self, ctx: AccessContext, uncore: &mut Uncore) -> LlcResponse {
-        if !self.bootstrapped {
-            self.bootstrap(uncore);
+        self.serve(ctx.core, ctx.line, uncore)
+    }
+
+    fn access_batch(
+        &mut self,
+        core: CoreId,
+        batch: &EventBatch,
+        clock: &mut BatchClock,
+        uncore: &mut Uncore,
+        out: &mut Vec<LlcResponse>,
+    ) {
+        // The per-event loop of the trait default, plus two pure
+        // prefetch hints: the page-map slot of event `i + PAGE_LOOKAHEAD`
+        // and, through the (by then cached) page map, the LRU index slot
+        // of event `i + LINE_LOOKAHEAD`.
+        let lines = &batch.lines;
+        for line in lines.iter().take(PAGE_LOOKAHEAD) {
+            self.page_map.prefetch(line.page().0);
         }
-        let idx = self.resolve_vc(ctx.core, ctx.line.page());
-        let vc = &mut self.vcs[idx as usize];
-        vc.note_access(ctx.core);
-        vc.monitor.record(ctx.line.0);
-        if vc.bypassed {
-            vc.bypasses += 1;
-            let latency = uncore.bypass_to_memory(ctx.core, ctx.line);
-            return LlcResponse {
-                latency,
-                outcome: LlcOutcome::Bypass,
-            };
+        for &line in lines.iter().take(LINE_LOOKAHEAD) {
+            self.prefetch_line(line);
         }
-        let bank = vc.vtb.lookup(ctx.line);
-        match self.banks[bank.0 as usize].access(idx, ctx.line.0) {
-            wp_cache::AccessOutcome::Hit => {
-                self.vcs[idx as usize].hits += 1;
-                LlcResponse {
-                    latency: uncore.bank_hit(ctx.core, bank),
-                    outcome: LlcOutcome::Hit,
-                }
+        for i in 0..batch.len() {
+            if let Some(line) = lines.get(i + PAGE_LOOKAHEAD) {
+                self.page_map.prefetch(line.page().0);
             }
-            wp_cache::AccessOutcome::Miss { .. } => {
-                self.vcs[idx as usize].misses += 1;
-                LlcResponse {
-                    latency: uncore.bank_miss_to_memory(ctx.core, bank, ctx.line),
-                    outcome: LlcOutcome::Miss,
-                }
+            if let Some(&line) = lines.get(i + LINE_LOOKAHEAD) {
+                self.prefetch_line(line);
             }
+            clock.pre_access(batch.gaps[i], uncore);
+            let resp = self.serve(core, lines[i], uncore);
+            clock.post_access(resp.latency);
+            out.push(resp);
         }
     }
 
@@ -537,7 +613,6 @@ impl LlcScheme for NucaRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wp_mem::LineAddr;
 
     fn sys() -> SystemConfig {
         SystemConfig::four_core()
@@ -558,7 +633,7 @@ mod tests {
         rt.attach_core(CoreId(0), &[]);
         rt.access(ctx(0, 100), &mut u);
         let page = LineAddr(100).page();
-        let idx = rt.page_map[&page];
+        let idx = rt.page_map.get(page.0).unwrap().vc;
         assert!(matches!(
             rt.vcs[idx as usize].kind,
             VcKind::ThreadPrivate(CoreId(0))
@@ -574,7 +649,7 @@ mod tests {
         rt.access(ctx(0, 100), &mut u);
         rt.access(ctx(1, 100), &mut u); // same page, different core
         let page = LineAddr(100).page();
-        assert_eq!(rt.page_map[&page], rt.process_vc);
+        assert_eq!(rt.page_map.get(page.0).unwrap().vc, rt.process_vc);
     }
 
     #[test]
@@ -592,7 +667,7 @@ mod tests {
         rt.access(ctx(0, 100), &mut u);
         rt.access(ctx(2, 100), &mut u);
         let page = LineAddr(100).page();
-        let idx = rt.page_map[&page];
+        let idx = rt.page_map.get(page.0).unwrap().vc;
         assert!(matches!(rt.vcs[idx as usize].kind, VcKind::UserPool { .. }));
     }
 
@@ -739,5 +814,160 @@ mod tests {
             assert!(bank < 25);
             assert!(frac > 0.0 && frac <= 1.0 + 1e-9);
         }
+    }
+
+    /// One step of a lookahead scenario: a batch of `lines` from `core`,
+    /// or a reconfiguration.
+    enum Step {
+        Batch(u16, Vec<u64>),
+        Reconfigure,
+    }
+
+    /// Runs `steps` through `access_batch` of one runtime and through the
+    /// per-event [`wp_sim::PerEvent`] reference of another, asserting after
+    /// every step that responses, core clocks, the uncore and every VC's
+    /// counters agree bit for bit — and at the end, the reconfiguration
+    /// logs. Returns the batched path's responses.
+    fn assert_batched_matches_reference(
+        make: impl Fn() -> NucaRuntime,
+        cores: u16,
+        steps: &[Step],
+    ) -> Vec<LlcResponse> {
+        let mut batched = make();
+        let mut reference = wp_sim::PerEvent(make());
+        let (mut ub, mut ur) = (Uncore::new(sys()), Uncore::new(sys()));
+        for c in 0..cores {
+            batched.attach_core(CoreId(c), &[]);
+            reference.attach_core(CoreId(c), &[]);
+        }
+        let mut cycles = vec![0.0f64; usize::from(cores)];
+        let mut all = Vec::new();
+        for (n, step) in steps.iter().enumerate() {
+            match step {
+                Step::Batch(core, lines) => {
+                    let mut batch = EventBatch::new();
+                    for (i, &l) in lines.iter().enumerate() {
+                        batch.push(10 + (i % 7) as u32, LineAddr(l), false);
+                    }
+                    let c = usize::from(*core);
+                    let (mut cb, mut cr) = (
+                        BatchClock::new(cycles[c], 1.0, 2.0, c),
+                        BatchClock::new(cycles[c], 1.0, 2.0, c),
+                    );
+                    let (mut ob, mut or) = (Vec::new(), Vec::new());
+                    batched.access_batch(CoreId(*core), &batch, &mut cb, &mut ub, &mut ob);
+                    reference.access_batch(CoreId(*core), &batch, &mut cr, &mut ur, &mut or);
+                    assert_eq!(ob, or, "step {n}: responses differ");
+                    assert_eq!(ob.len(), lines.len());
+                    assert_eq!(cb.cycles.to_bits(), cr.cycles.to_bits(), "step {n}");
+                    cycles[c] = cb.cycles;
+                    all.extend(ob);
+                }
+                Step::Reconfigure => {
+                    batched.reconfigure(&mut ub);
+                    reference.reconfigure(&mut ur);
+                    for u in [&mut ub, &mut ur] {
+                        u.interval_instructions.iter_mut().for_each(|i| *i = 0);
+                    }
+                }
+            }
+            assert_eq!(format!("{ub:?}"), format!("{ur:?}"), "step {n}: uncore");
+            assert_eq!(
+                batched.pool_occupancy(),
+                reference.pool_occupancy(),
+                "step {n}: per-VC counters"
+            );
+        }
+        assert_eq!(batched.reconfig_log(), reference.reconfig_log());
+        all
+    }
+
+    fn jigsaw() -> NucaRuntime {
+        NucaRuntime::jigsaw(sys())
+    }
+
+    #[test]
+    fn batches_shorter_than_the_lookahead_match_the_reference() {
+        const _: () = assert!(7 < LINE_LOOKAHEAD && LINE_LOOKAHEAD < PAGE_LOOKAHEAD);
+        let seven: Vec<u64> = vec![3, 900, 3, 64, 65, 900, 3];
+        let steps = [
+            Step::Batch(0, vec![]),
+            Step::Batch(0, vec![3]),
+            Step::Batch(0, seven.clone()),
+            Step::Batch(1, vec![]),
+            Step::Batch(1, seven.clone()),
+            Step::Batch(0, vec![3]),
+        ];
+        let out = assert_batched_matches_reference(jigsaw, 2, &steps);
+        assert_eq!(out.len(), 1 + 7 + 7 + 1);
+    }
+
+    #[test]
+    fn first_touch_and_upgrade_inside_one_window_match_the_reference() {
+        // Page 10 (lines 640..704) is first touched by core 0 at event 2,
+        // then re-touched before its first touch would have been visible
+        // to the lookahead. Core 1 then upgrades it to the process VC at
+        // its event 0, and touches it again at events 2, 5 and 9 — all
+        // peeked while the page still mapped to core 0's thread VC.
+        // Page 20 is first touched by core 1 inside the same window.
+        let p10 = |k: u64| 640 + k;
+        let p20 = |k: u64| 1280 + k;
+        let steps = [
+            Step::Batch(0, vec![1, 2, p10(0), 3, p10(1), p10(0), 4, 5]),
+            Step::Batch(
+                1,
+                vec![
+                    p10(0),
+                    p20(0),
+                    p10(1),
+                    p20(1),
+                    7,
+                    p10(0),
+                    p20(0),
+                    8,
+                    9,
+                    p10(2),
+                    p20(2),
+                ],
+            ),
+            Step::Batch(0, vec![p10(0), p10(3), p20(0), 1, 2]),
+        ];
+        assert_batched_matches_reference(jigsaw, 2, &steps);
+        // The scenario did exercise the upgrade.
+        let mut rt = jigsaw();
+        let mut u = Uncore::new(sys());
+        rt.attach_core(CoreId(0), &[]);
+        rt.attach_core(CoreId(1), &[]);
+        rt.access(ctx(0, p10(0)), &mut u);
+        rt.access(ctx(1, p10(0)), &mut u);
+        assert_eq!(rt.page_map.get(10).unwrap().vc, rt.process_vc);
+    }
+
+    #[test]
+    fn vc_entering_bypass_between_batches_matches_the_reference() {
+        // Core 0 streams (no reuse) in 256-event batches; two
+        // reconfigurations teach the runtime to bypass its thread VC,
+        // with batches straddling the switch. Core 1 re-walks a small
+        // working set throughout, so some VC keeps caching.
+        let mut steps = Vec::new();
+        let mut next = 1u64 << 30;
+        for _round in 0..3 {
+            for b in 0..200u64 {
+                steps.push(Step::Batch(0, (0..256).map(|k| next + k).collect()));
+                next += 256;
+                steps.push(Step::Batch(
+                    1,
+                    (0..64).map(|k| (b * 64 + k) % 4096).collect(),
+                ));
+            }
+            steps.push(Step::Reconfigure);
+        }
+        steps.push(Step::Batch(0, (0..40).map(|k| next + k).collect()));
+        let out = assert_batched_matches_reference(jigsaw, 2, &steps);
+        assert_eq!(
+            out.last().map(|r| r.outcome),
+            Some(LlcOutcome::Bypass),
+            "the streaming VC should be bypassed by the last batch"
+        );
     }
 }

@@ -178,10 +178,24 @@ impl MattsonStack {
     }
 
     /// Processes one access to `line` and returns its stack distance
-    /// (`None` for a cold miss). Distances count distinct lines including
-    /// the accessed line itself, so a hit immediately after the previous
-    /// access to the same line has distance 1.
+    /// (`None` for a cold miss), recording it in the histogram. Distances
+    /// count distinct lines including the accessed line itself, so a hit
+    /// immediately after the previous access to the same line has
+    /// distance 1.
     pub fn access(&mut self, line: u64) -> Option<u64> {
+        let dist = self.distance(line);
+        match dist {
+            Some(d) => self.hist.record(d),
+            None => self.hist.record_cold(),
+        }
+        dist
+    }
+
+    /// [`access`](Self::access) without recording: updates the LRU stack
+    /// and returns the stack distance, leaving the histogram untouched.
+    /// Sampled profilers that keep their own (scaled) histogram use this,
+    /// so no second, unread histogram grows alongside theirs.
+    pub fn distance(&mut self, line: u64) -> Option<u64> {
         self.maybe_compact();
         let t = self.time;
         self.reallocations += u64::from(self.present.grow_to(t + 1));
@@ -199,10 +213,6 @@ impl MattsonStack {
         };
         self.present.add(t, 1);
         self.time += 1;
-        match dist {
-            Some(d) => self.hist.record(d),
-            None => self.hist.record_cold(),
-        }
         dist
     }
 
@@ -272,21 +282,40 @@ impl MattsonStack {
 /// distances and counts are scaled by the inverse sampling rate. This is the
 /// model for Jigsaw/Whirlpool's GMON hardware monitors, which sample a
 /// subset of sets/lines to keep overheads low (Sec. 2.4/3.2).
+///
+/// Distances are counted at *granule* resolution, in a dense array with
+/// one bucket per `granule_lines` lines: a scaled distance `d` lands in
+/// bucket `⌈d / granule_lines⌉`. That loses nothing a monitor needs —
+/// [`MissCurve::from_histogram`](crate::MissCurve::from_histogram) with
+/// the same granule only compares distances against multiples of
+/// `granule_lines`, and `d ≤ g·granule_lines` exactly when
+/// `⌈d / granule_lines⌉ ≤ g` — so its curves are bit-identical to those of
+/// a line-resolution histogram. With `granule_lines == 1` the histogram is
+/// the line-resolution one.
 #[derive(Debug, Clone)]
 pub struct SampledStack {
     inner: MattsonStack,
     rate_log2: u32,
-    hist: StackDistanceHistogram,
+    granule_lines: u64,
+    /// `buckets[g]`: scaled accesses with scaled distance in
+    /// `((g - 1)·granule_lines, g·granule_lines]` (bucket 0 stays empty:
+    /// distances are at least 1). Grows on demand.
+    buckets: Vec<u64>,
+    /// Scaled cold (first-touch) accesses.
+    cold: u64,
 }
 
 impl SampledStack {
-    /// Creates a profiler that samples one in `2^rate_log2` lines.
-    /// `rate_log2 == 0` degenerates to exact profiling.
-    pub fn new(rate_log2: u32) -> Self {
+    /// Creates a profiler that samples one in `2^rate_log2` lines and
+    /// counts distances in buckets of `granule_lines` lines (0 is treated
+    /// as 1). `rate_log2 == 0` samples every line.
+    pub fn new(rate_log2: u32, granule_lines: u64) -> Self {
         Self {
             inner: MattsonStack::new(),
             rate_log2,
-            hist: StackDistanceHistogram::new(),
+            granule_lines: granule_lines.max(1),
+            buckets: Vec::new(),
+            cold: 0,
         }
     }
 
@@ -305,20 +334,38 @@ impl SampledStack {
             return;
         }
         let scale = 1u64 << self.rate_log2;
-        match self.inner.access(line) {
-            Some(d) => self.hist.record_weighted(d * scale, scale),
-            None => self.hist.record_cold_weighted(scale),
+        match self.inner.distance(line) {
+            Some(d) => {
+                let g = (d * scale).div_ceil(self.granule_lines) as usize;
+                if g >= self.buckets.len() {
+                    self.buckets.resize(g + 1, 0);
+                }
+                self.buckets[g] += scale;
+            }
+            None => self.cold += scale,
         }
     }
 
-    /// The accumulated (scaled) histogram.
-    pub fn histogram(&self) -> &StackDistanceHistogram {
-        &self.hist
+    /// The accumulated (scaled) histogram, each bucket's count recorded at
+    /// the bucket's upper distance `g · granule_lines`.
+    pub fn histogram(&self) -> StackDistanceHistogram {
+        let mut hist = StackDistanceHistogram::new();
+        for (g, &count) in self.buckets.iter().enumerate() {
+            if count > 0 {
+                hist.record_weighted(g as u64 * self.granule_lines, count);
+            }
+        }
+        hist.record_cold_weighted(self.cold);
+        hist
     }
 
-    /// Takes the scaled histogram, leaving an empty one.
+    /// Takes the scaled histogram, leaving an empty one (the sampled LRU
+    /// stack is preserved, so reuse across intervals is still seen).
     pub fn take_histogram(&mut self) -> StackDistanceHistogram {
-        std::mem::take(&mut self.hist)
+        let hist = self.histogram();
+        self.buckets.clear();
+        self.cold = 0;
+        hist
     }
 
     /// One in `2^rate_log2` lines are tracked.
@@ -407,19 +454,19 @@ mod tests {
     #[test]
     fn sampled_rate_zero_is_exact() {
         let mut exact = MattsonStack::new();
-        let mut sampled = SampledStack::new(0);
+        let mut sampled = SampledStack::new(0, 1);
         for i in 0..100u64 {
             exact.access(i % 10);
             sampled.access(i % 10);
         }
-        assert_eq!(exact.histogram(), sampled.histogram());
+        assert_eq!(exact.histogram(), &sampled.histogram());
     }
 
     #[test]
     fn sampled_total_is_close_to_exact() {
         // With rate 1/4 over many uniformly-hashed lines, totals should be
         // within a reasonable factor.
-        let mut sampled = SampledStack::new(2);
+        let mut sampled = SampledStack::new(2, 1);
         let n = 40_000u64;
         for i in 0..n {
             sampled.access(i.wrapping_mul(2654435761) % 4096);
@@ -441,5 +488,27 @@ mod tests {
         assert_eq!(s.histogram().total(), 0);
         // Stack survives: this is a hit at distance 2, not a cold miss.
         assert_eq!(s.access(1), Some(2));
+    }
+
+    #[test]
+    fn sampled_stack_leaves_the_inner_histogram_empty() {
+        let mut s = SampledStack::new(1, 4);
+        for i in 0..50_000u64 {
+            s.access(i % 3000);
+        }
+        assert!(s.histogram().total() > 0);
+        assert_eq!(s.inner.histogram().total(), 0, "shadow histogram grew");
+    }
+
+    #[test]
+    fn distance_matches_access_without_recording() {
+        let mut recording = MattsonStack::new();
+        let mut silent = MattsonStack::new();
+        for i in 0..10_000u64 {
+            let line = (i * 7919) % 613;
+            assert_eq!(recording.access(line), silent.distance(line));
+        }
+        assert_eq!(silent.histogram().total(), 0);
+        assert_eq!(recording.histogram().total(), 10_000);
     }
 }

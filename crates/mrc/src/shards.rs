@@ -203,7 +203,7 @@ impl ShardsStack {
         }
         // Weight and expansion use the rate in effect *now*.
         let weight = SHARDS_MODULUS as f64 / self.threshold as f64;
-        match self.inner.access(line) {
+        match self.inner.distance(line) {
             Some(d) => {
                 // A sampled distance d estimates true distance d / R.
                 let expanded = (d.saturating_mul(SHARDS_MODULUS) / self.threshold).max(1);
@@ -338,9 +338,6 @@ impl ShardsStack {
         self.finite.clear();
         self.cold = 0.0;
         self.total_seen = 0;
-        // Drop the inner stack's shadow histogram too: nothing reads it,
-        // and clearing keeps long multi-interval profiles lean.
-        let _ = self.inner.take_histogram();
         hist
     }
 }
@@ -433,6 +430,16 @@ mod tests {
         let h2 = s.take_histogram();
         assert_eq!(h2.cold_misses(), 0);
         assert_eq!(h2.hits_at(2), 1);
+    }
+
+    #[test]
+    fn inner_stack_records_no_histogram() {
+        let mut s = ShardsStack::new(ShardsConfig::fixed(0.5));
+        for i in 0..20_000u64 {
+            s.access(i % 700);
+        }
+        assert!(s.snapshot_histogram().total() > 0);
+        assert_eq!(s.inner.histogram().total(), 0, "shadow histogram grew");
     }
 
     #[test]

@@ -3,8 +3,30 @@
 use proptest::prelude::*;
 use wp_mrc::{
     combine_miss_curves, convex_hull, partition_capacity, partitioned_curve, MattsonStack,
-    MissCurve, StackDistanceHistogram,
+    MissCurve, SampledStack, StackDistanceHistogram,
 };
+
+/// The line-resolution reference for [`SampledStack`]: the same
+/// Fibonacci sampling and scaling, with every distance recorded exactly.
+fn line_resolution_histogram(
+    stack: &mut MattsonStack,
+    trace: &[u64],
+    rate_log2: u32,
+) -> StackDistanceHistogram {
+    let scale = 1u64 << rate_log2;
+    let mut h = StackDistanceHistogram::new();
+    for &line in trace {
+        let h_fib = line.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        if rate_log2 > 0 && h_fib >> (64 - rate_log2) != 0 {
+            continue;
+        }
+        match stack.access(line) {
+            Some(d) => h.record_weighted(d * scale, scale),
+            None => h.record_cold_weighted(scale),
+        }
+    }
+    h
+}
 
 /// Strategy: a monotone non-increasing, non-negative miss curve.
 fn miss_curve(max_len: usize) -> impl Strategy<Value = MissCurve> {
@@ -118,5 +140,47 @@ proptest! {
         }
         h.record_cold_weighted(cold);
         prop_assert_eq!(h.hits_at(cap) + h.misses_at(cap), h.total());
+    }
+
+    /// GMON curves from granule buckets are bit-identical to curves from
+    /// line-resolution histograms, over two intervals (the second
+    /// checks the buckets reset while the stack carries over).
+    #[test]
+    fn granule_bucketed_curves_equal_line_resolution_curves(
+        rate_log2 in 0u32..4,
+        granule_pick in 0usize..5,
+        span in 8u64..3000,
+        seed in 0u64..u64::MAX,
+        len in 1usize..4000,
+        instructions in 1u64..1_000_000,
+    ) {
+        let granule_lines = [1u64, 3, 16, 64, 1024][granule_pick];
+        let mut x = seed | 1;
+        let trace: Vec<u64> = (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Skewed: half the references reuse a small hot set.
+                if x & 1 == 0 { (x >> 8) % 32 } else { (x >> 8) % span }
+            })
+            .collect();
+        let mut bucketed = SampledStack::new(rate_log2, granule_lines);
+        let mut exact = MattsonStack::new();
+        for interval in trace.chunks(len.div_ceil(2)) {
+            for &line in interval {
+                bucketed.access(line);
+            }
+            let got = bucketed.take_histogram();
+            let want = line_resolution_histogram(&mut exact, interval, rate_log2);
+            prop_assert_eq!(got.total(), want.total());
+            if want.total() == 0 {
+                continue;
+            }
+            let a = MissCurve::from_histogram(&got, instructions, granule_lines);
+            let b = MissCurve::from_histogram(&want, instructions, granule_lines);
+            let bits = |c: &MissCurve| c.points().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&a), bits(&b));
+        }
     }
 }

@@ -43,3 +43,16 @@ pub use timeline::{
 };
 
 pub use json::{fmt_f64, quote};
+
+/// Serializes the crate's tests that toggle the process-wide enable flag
+/// ([`set_enabled`]): the test harness runs tests in parallel, and one
+/// test switching recording off mid-way through another's adds would
+/// make either fail intermittently.
+#[cfg(test)]
+pub(crate) fn serial_test() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the guarded state is `()`, so the
+    // remaining tests can still run.
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -375,11 +375,13 @@ mod tests {
     use super::*;
 
     // The registry is process-global, so these tests share state with
-    // each other and with any concurrently running test that enables
-    // recording. Each asserts on *deltas* of counters it owns.
+    // each other. Every test that toggles the enable flag holds
+    // `serial_test()` for its whole body, and each asserts on *deltas*
+    // of counters it owns.
 
     #[test]
     fn disabled_adds_are_dropped() {
+        let _serial = crate::serial_test();
         set_enabled(false);
         let before = snapshot()
             .counters
@@ -399,6 +401,7 @@ mod tests {
 
     #[test]
     fn record_max_is_a_high_water_mark() {
+        let _serial = crate::serial_test();
         set_enabled(true);
         record_max(Counter::ServeQueueHighWater, 5);
         record_max(Counter::ServeQueueHighWater, 3);
@@ -414,6 +417,7 @@ mod tests {
 
     #[test]
     fn enabled_adds_accumulate_and_snapshot_is_json() {
+        let _serial = crate::serial_test();
         set_enabled(true);
         add(Counter::PawsTasks, 3);
         add(Counter::PawsTasks, 4);

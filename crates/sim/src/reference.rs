@@ -15,7 +15,8 @@ use crate::uncore::Uncore;
 /// [`LlcScheme::access_batch`]. Both trait methods have defaults that
 /// loop over the one-event calls (`next_event`, `access`), and the fast
 /// sources override them — [`TraceWorkload`](crate::TraceWorkload)
-/// decodes column slices, `SNucaScheme` prefetches ahead. `PerEvent`
+/// decodes column slices, and the schemes listed under
+/// [`LlcScheme::access_batch`] prefetch ahead. `PerEvent`
 /// hides those overrides so the defaults run instead: wrapped around a
 /// scheme it forwards every method except `access_batch`; wrapped around
 /// a workload ([`PerEvent::bundle`]) it forwards only `next_event`.

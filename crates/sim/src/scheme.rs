@@ -202,6 +202,19 @@ pub trait LlcScheme: Send {
     /// batch visible, a scheme can software-prefetch the tag/replacement
     /// arrays of *upcoming* events' banks while serving the current one,
     /// which per-event virtual dispatch can never do.
+    ///
+    /// Every stateful scheme except Awasthi overrides it, each sharing one
+    /// per-event body with [`access`](Self::access):
+    ///
+    /// * `SNucaScheme` (S-NUCA LRU and DRRIP) hints the bank set of event
+    ///   `i + 32`;
+    /// * `NucaRuntime` (Jigsaw, Whirlpool and both no-bypass ablations)
+    ///   hints the page-map slot of event `i + 32` and, through it, the
+    ///   LRU index slot of event `i + 16` in its VC's bank partition;
+    /// * `MemshareScheme` hints the LRU index slot of event `i + 16` in
+    ///   the core's partition;
+    /// * `IdealSpdScheme` hints the private L3 set and the L4 bank set of
+    ///   event `i + 32`.
     fn access_batch(
         &mut self,
         core: CoreId,
