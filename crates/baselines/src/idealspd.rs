@@ -16,8 +16,8 @@ use wp_cache::{AccessOutcome, LruPolicy, SetAssocCache};
 use wp_mem::LineAddr;
 use wp_noc::{BankId, CoreId};
 use wp_sim::{
-    AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor,
-    SystemConfig, Uncore,
+    serve_batch_ahead, AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme,
+    PoolDescriptor, SystemConfig, Uncore,
 };
 
 /// Private L3 capacity: 3 × 512 KB = 1.5 MB per core.
@@ -147,22 +147,19 @@ impl LlcScheme for IdealSpdScheme {
         uncore: &mut Uncore,
         out: &mut Vec<LlcResponse>,
     ) {
-        // The per-event loop of the trait default, plus a pure prefetch
-        // of the private L3 set and the L4 bank set that event
+        // Hints the private L3 set and the L4 bank set that event
         // `i + LOOKAHEAD` will probe.
         let lines = &batch.lines;
-        for &line in lines.iter().take(LOOKAHEAD) {
-            self.prefetch(core, line);
-        }
-        for i in 0..batch.len() {
-            if let Some(&line) = lines.get(i + LOOKAHEAD) {
-                self.prefetch(core, line);
-            }
-            clock.pre_access(batch.gaps[i], uncore);
-            let resp = self.serve(core, lines[i], uncore);
-            clock.post_access(resp.latency);
-            out.push(resp);
-        }
+        serve_batch_ahead(
+            self,
+            batch,
+            clock,
+            uncore,
+            out,
+            [LOOKAHEAD],
+            |s, _, j| s.prefetch(core, lines[j]),
+            |s, i, uncore| s.serve(core, lines[i], uncore),
+        );
     }
 
     fn reconfigure(&mut self, _uncore: &mut Uncore) {}

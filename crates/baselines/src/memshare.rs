@@ -21,8 +21,8 @@ use wp_mem::LineAddr;
 use wp_mrc::MissCurve;
 use wp_noc::{BankId, CoreId};
 use wp_sim::{
-    AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor,
-    SystemConfig, Uncore,
+    serve_batch_ahead, AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme,
+    PoolDescriptor, SystemConfig, Uncore,
 };
 
 /// How far ahead of the event being served the batched access path hints
@@ -231,23 +231,20 @@ impl LlcScheme for MemshareScheme {
         uncore: &mut Uncore,
         out: &mut Vec<LlcResponse>,
     ) {
-        // The per-event loop of the trait default, plus a pure prefetch
-        // of the LRU index slot event `i + LOOKAHEAD` will probe (the
+        // Hints the LRU index slot event `i + LOOKAHEAD` will probe (the
         // whole batch is `core`'s, so its partition is known).
         let part = u32::from(core.0);
         let lines = &batch.lines;
-        for line in lines.iter().take(LOOKAHEAD) {
-            self.parts.prefetch(part, line.0);
-        }
-        for i in 0..batch.len() {
-            if let Some(line) = lines.get(i + LOOKAHEAD) {
-                self.parts.prefetch(part, line.0);
-            }
-            clock.pre_access(batch.gaps[i], uncore);
-            let resp = self.serve(core, lines[i], uncore);
-            clock.post_access(resp.latency);
-            out.push(resp);
-        }
+        serve_batch_ahead(
+            self,
+            batch,
+            clock,
+            uncore,
+            out,
+            [LOOKAHEAD],
+            |s, _, j| s.parts.prefetch(part, lines[j].0),
+            |s, i, uncore| s.serve(core, lines[i], uncore),
+        );
     }
 
     fn reconfigure(&mut self, uncore: &mut Uncore) {

@@ -9,8 +9,8 @@ use wp_cache::{AccessOutcome, DrripPolicy, LruPolicy, ReplacementPolicy, SetAsso
 use wp_mem::LineAddr;
 use wp_noc::{BankId, CoreId};
 use wp_sim::{
-    AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor,
-    SystemConfig, Uncore,
+    serve_batch_ahead, AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme,
+    PoolDescriptor, SystemConfig, Uncore,
 };
 
 /// Replacement policy choice for the S-NUCA banks.
@@ -104,6 +104,29 @@ impl SNucaScheme {
         h ^= h >> 33;
         BankId((h % self.num_banks) as u16)
     }
+
+    /// Serves one access to `line`, already hashed to `bank`: the single
+    /// per-event body behind both [`LlcScheme::access`] and
+    /// [`LlcScheme::access_batch`].
+    #[inline]
+    fn serve_in(
+        &mut self,
+        core: CoreId,
+        bank: BankId,
+        line: LineAddr,
+        uncore: &mut Uncore,
+    ) -> LlcResponse {
+        match self.banks[usize::from(bank.0)].access(line.0) {
+            AccessOutcome::Hit => LlcResponse {
+                latency: uncore.bank_hit(core, bank),
+                outcome: LlcOutcome::Hit,
+            },
+            AccessOutcome::Miss { .. } => LlcResponse {
+                latency: uncore.bank_miss_to_memory(core, bank, line),
+                outcome: LlcOutcome::Miss,
+            },
+        }
+    }
 }
 
 impl LlcScheme for SNucaScheme {
@@ -115,16 +138,7 @@ impl LlcScheme for SNucaScheme {
 
     fn access(&mut self, ctx: AccessContext, uncore: &mut Uncore) -> LlcResponse {
         let bank = self.bank_of(ctx.line);
-        match self.banks[bank.0 as usize].access(ctx.line.0) {
-            AccessOutcome::Hit => LlcResponse {
-                latency: uncore.bank_hit(ctx.core, bank),
-                outcome: LlcOutcome::Hit,
-            },
-            AccessOutcome::Miss { .. } => LlcResponse {
-                latency: uncore.bank_miss_to_memory(ctx.core, bank, ctx.line),
-                outcome: LlcOutcome::Miss,
-            },
-        }
+        self.serve_in(ctx.core, bank, ctx.line, uncore)
     }
 
     fn access_batch(
@@ -145,30 +159,18 @@ impl LlcScheme for SNucaScheme {
         let mut banks_of = std::mem::take(&mut self.bank_scratch);
         banks_of.clear();
         banks_of.extend(batch.lines.iter().map(|&l| self.bank_of(l).0));
-        for (&b, &line) in banks_of.iter().zip(&batch.lines).take(LOOKAHEAD) {
-            self.banks[usize::from(b)].prefetch(line.0);
-        }
-        for i in 0..batch.len() {
-            if let Some(&b) = banks_of.get(i + LOOKAHEAD) {
-                self.banks[usize::from(b)].prefetch(batch.lines[i + LOOKAHEAD].0);
-            }
-            clock.pre_access(batch.gaps[i], uncore);
-            let bank = BankId(banks_of[i]);
-            let line = batch.lines[i];
+        let lines = &batch.lines;
+        serve_batch_ahead(
+            self,
+            batch,
+            clock,
+            uncore,
+            out,
+            [LOOKAHEAD],
+            |s, _, j| s.banks[usize::from(banks_of[j])].prefetch(lines[j].0),
             // The body of `access`, with the bank hash already done.
-            let resp = match self.banks[usize::from(bank.0)].access(line.0) {
-                AccessOutcome::Hit => LlcResponse {
-                    latency: uncore.bank_hit(core, bank),
-                    outcome: LlcOutcome::Hit,
-                },
-                AccessOutcome::Miss { .. } => LlcResponse {
-                    latency: uncore.bank_miss_to_memory(core, bank, line),
-                    outcome: LlcOutcome::Miss,
-                },
-            };
-            clock.post_access(resp.latency);
-            out.push(resp);
-        }
+            |s, i, uncore| s.serve_in(core, BankId(banks_of[i]), lines[i], uncore),
+        );
         self.bank_scratch = banks_of;
     }
 

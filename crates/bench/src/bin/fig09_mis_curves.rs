@@ -48,7 +48,9 @@ fn main() {
     println!();
     let mut curves = Vec::new();
     for (i, d) in descs.iter().enumerate() {
-        let c = MissCurve::from_histogram(&stacks[i].histogram(), instrs, GRANULE_LINES)
+        let c = stacks[i]
+            .curve(instrs)
+            .unwrap_or_else(|| MissCurve::flat(0.0, 1, GRANULE_LINES))
             .resized(total_granules + 1)
             .monotonized();
         print!("{:>10}", d.name);

@@ -84,9 +84,9 @@ impl UtilityMonitor {
     pub fn rollover(&mut self, interval_instructions: u64) -> MissCurve {
         wp_obs::add(wp_obs::Counter::MonitorRollovers, 1);
         let instructions = interval_instructions.max(1);
-        let hist = self.stack.take_histogram();
+        let fresh = self.stack.take_curve(instructions);
         self.accesses = 0;
-        if hist.total() == 0 {
+        let Some(fresh) = fresh else {
             let curve = self.last_curve.clone().unwrap_or_else(|| {
                 MissCurve::flat(0.0, self.config.curve_points, self.config.granule_lines)
             });
@@ -95,10 +95,8 @@ impl UtilityMonitor {
             let decayed = curve.scaled(1.0 - self.config.ewma_alpha);
             self.last_curve = Some(decayed.clone());
             return decayed;
-        }
-        let fresh = MissCurve::from_histogram(&hist, instructions, self.config.granule_lines)
-            .resized(self.config.curve_points)
-            .monotonized();
+        };
+        let fresh = fresh.resized(self.config.curve_points).monotonized();
         let blended = match &self.last_curve {
             Some(prev) => fresh.ewma(prev, self.config.ewma_alpha),
             None => fresh,

@@ -14,8 +14,8 @@ use wp_cache::{MonitorConfig, PartitionedCache, U64Map};
 use wp_mem::{LineAddr, PageId, VcId};
 use wp_noc::CoreId;
 use wp_sim::{
-    AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor,
-    SystemConfig, Uncore,
+    serve_batch_ahead, AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme,
+    PoolDescriptor, SystemConfig, Uncore,
 };
 
 use crate::placement::{place_and_trade, PlacementInput};
@@ -425,29 +425,26 @@ impl LlcScheme for NucaRuntime {
         uncore: &mut Uncore,
         out: &mut Vec<LlcResponse>,
     ) {
-        // The per-event loop of the trait default, plus two pure
-        // prefetch hints: the page-map slot of event `i + PAGE_LOOKAHEAD`
+        // Two hint stages: the page-map slot of event `i + PAGE_LOOKAHEAD`
         // and, through the (by then cached) page map, the LRU index slot
         // of event `i + LINE_LOOKAHEAD`.
         let lines = &batch.lines;
-        for line in lines.iter().take(PAGE_LOOKAHEAD) {
-            self.page_map.prefetch(line.page().0);
-        }
-        for &line in lines.iter().take(LINE_LOOKAHEAD) {
-            self.prefetch_line(line);
-        }
-        for i in 0..batch.len() {
-            if let Some(line) = lines.get(i + PAGE_LOOKAHEAD) {
-                self.page_map.prefetch(line.page().0);
-            }
-            if let Some(&line) = lines.get(i + LINE_LOOKAHEAD) {
-                self.prefetch_line(line);
-            }
-            clock.pre_access(batch.gaps[i], uncore);
-            let resp = self.serve(core, lines[i], uncore);
-            clock.post_access(resp.latency);
-            out.push(resp);
-        }
+        serve_batch_ahead(
+            self,
+            batch,
+            clock,
+            uncore,
+            out,
+            [PAGE_LOOKAHEAD, LINE_LOOKAHEAD],
+            |s, stage, j| {
+                if stage == 0 {
+                    s.page_map.prefetch(lines[j].page().0);
+                } else {
+                    s.prefetch_line(lines[j]);
+                }
+            },
+            |s, i, uncore| s.serve(core, lines[i], uncore),
+        );
     }
 
     fn reconfigure(&mut self, uncore: &mut Uncore) {

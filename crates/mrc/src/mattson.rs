@@ -1,5 +1,6 @@
 //! Exact and sampled LRU stack-distance profiling (Mattson's algorithm).
 
+use crate::curve::MissCurve;
 use crate::fxmap::FastMap;
 use crate::histogram::StackDistanceHistogram;
 
@@ -87,15 +88,6 @@ impl Fenwick {
             i -= i & i.wrapping_neg();
         }
         s
-    }
-
-    /// Sum of `[a, b]` inclusive; zero if the range is empty.
-    fn range(&self, a: usize, b: usize) -> u64 {
-        if a > b {
-            return 0;
-        }
-        let lo = if a == 0 { 0 } else { self.prefix(a - 1) };
-        self.prefix(b) - lo
     }
 }
 
@@ -202,7 +194,11 @@ impl MattsonStack {
         let dist = match self.last_time.insert(line, t) {
             Some(t0) => {
                 // Distinct lines touched strictly after t0, plus this line.
-                let between = self.present.range(t0 + 1, t.saturating_sub(1));
+                // Every live line has exactly one present timestamp, all
+                // before `t`, so the count in `(t0, t)` is `live` minus the
+                // prefix through `t0`.
+                debug_assert_eq!(self.present.prefix(t - 1), self.live as u64);
+                let between = self.live as u64 - self.present.prefix(t0);
                 self.present.add(t0, -1);
                 Some(between + 1)
             }
@@ -290,8 +286,10 @@ impl MattsonStack {
 /// the same granule only compares distances against multiples of
 /// `granule_lines`, and `d ≤ g·granule_lines` exactly when
 /// `⌈d / granule_lines⌉ ≤ g` — so its curves are bit-identical to those of
-/// a line-resolution histogram. With `granule_lines == 1` the histogram is
-/// the line-resolution one.
+/// a line-resolution histogram. The buckets never leave this type: it
+/// hands out [`MissCurve`]s at its own granule
+/// ([`take_curve`](Self::take_curve)), so no caller can read the rounded
+/// distances at another resolution.
 #[derive(Debug, Clone)]
 pub struct SampledStack {
     inner: MattsonStack,
@@ -347,8 +345,9 @@ impl SampledStack {
     }
 
     /// The accumulated (scaled) histogram, each bucket's count recorded at
-    /// the bucket's upper distance `g · granule_lines`.
-    pub fn histogram(&self) -> StackDistanceHistogram {
+    /// the bucket's upper distance `g · granule_lines` — exact only at
+    /// multiples of `granule_lines`, hence private.
+    fn histogram(&self) -> StackDistanceHistogram {
         let mut hist = StackDistanceHistogram::new();
         for (g, &count) in self.buckets.iter().enumerate() {
             if count > 0 {
@@ -359,13 +358,27 @@ impl SampledStack {
         hist
     }
 
-    /// Takes the scaled histogram, leaving an empty one (the sampled LRU
-    /// stack is preserved, so reuse across intervals is still seen).
-    pub fn take_histogram(&mut self) -> StackDistanceHistogram {
+    /// The miss curve of the accesses counted so far, one point per
+    /// granule and normalized by `instructions` (see
+    /// [`MissCurve::from_histogram`]), or `None` if no sampled access was
+    /// counted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `instructions` is zero.
+    pub fn curve(&self, instructions: u64) -> Option<MissCurve> {
         let hist = self.histogram();
+        (hist.total() > 0)
+            .then(|| MissCurve::from_histogram(&hist, instructions, self.granule_lines))
+    }
+
+    /// [`curve`](Self::curve), then resets the counts (the sampled LRU
+    /// stack is preserved, so reuse across intervals is still seen).
+    pub fn take_curve(&mut self, instructions: u64) -> Option<MissCurve> {
+        let curve = self.curve(instructions);
         self.buckets.clear();
         self.cold = 0;
-        hist
+        curve
     }
 
     /// One in `2^rate_log2` lines are tracked.

@@ -39,8 +39,8 @@ pub use memory::MemoryChannels;
 pub use reference::PerEvent;
 pub use replay::{trace_bundle, trace_pools, TraceWorkload};
 pub use scheme::{
-    AccessContext, BatchClock, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, TraceEvent,
-    Workload, WorkloadBundle,
+    serve_batch_ahead, AccessContext, BatchClock, LlcOutcome, LlcResponse, LlcScheme,
+    PoolDescriptor, TraceEvent, Workload, WorkloadBundle,
 };
 pub use stats::CoreStats;
 pub use uncore::Uncore;

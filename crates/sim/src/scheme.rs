@@ -171,6 +171,49 @@ impl BatchClock {
     }
 }
 
+/// The loop behind every prefetching [`LlcScheme::access_batch`]
+/// override: the trait default's per-event loop, plus pure prefetch hints
+/// for upcoming events.
+///
+/// `serve(scheme, i, uncore)` answers event `i` of `batch` under the
+/// [`BatchClock`] protocol — it must be the body the scheme's
+/// [`access`](LlcScheme::access) runs. Before event `i` is served,
+/// `hint(scheme, stage, j)` is called for `j = i + ahead[stage]` of every
+/// stage (stages in order, and only for events inside the batch); the
+/// first `ahead[stage]` events of each stage are hinted before event 0.
+/// Hints must change no simulated state, so the responses and every
+/// mutation are those of the per-event loop.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn serve_batch_ahead<S: ?Sized, const N: usize>(
+    scheme: &mut S,
+    batch: &EventBatch,
+    clock: &mut BatchClock,
+    uncore: &mut Uncore,
+    out: &mut Vec<LlcResponse>,
+    ahead: [usize; N],
+    hint: impl Fn(&S, usize, usize),
+    mut serve: impl FnMut(&mut S, usize, &mut Uncore) -> LlcResponse,
+) {
+    let n = batch.len();
+    for (stage, &k) in ahead.iter().enumerate() {
+        for j in 0..k.min(n) {
+            hint(scheme, stage, j);
+        }
+    }
+    for i in 0..n {
+        for (stage, &k) in ahead.iter().enumerate() {
+            if i + k < n {
+                hint(scheme, stage, i + k);
+            }
+        }
+        clock.pre_access(batch.gaps[i], uncore);
+        let resp = serve(scheme, i, uncore);
+        clock.post_access(resp.latency);
+        out.push(resp);
+    }
+}
+
 /// A last-level cache management scheme.
 ///
 /// Implementations receive every LLC-bound access, charge latency/energy
@@ -203,8 +246,9 @@ pub trait LlcScheme: Send {
     /// arrays of *upcoming* events' banks while serving the current one,
     /// which per-event virtual dispatch can never do.
     ///
-    /// Every stateful scheme except Awasthi overrides it, each sharing one
-    /// per-event body with [`access`](Self::access):
+    /// Every stateful scheme except Awasthi overrides it, each through
+    /// [`serve_batch_ahead`] with one per-event body shared with
+    /// [`access`](Self::access):
     ///
     /// * `SNucaScheme` (S-NUCA LRU and DRRIP) hints the bank set of event
     ///   `i + 32`;
@@ -353,6 +397,63 @@ mod tests {
         assert_send::<Box<dyn LlcScheme>>();
         assert_send::<crate::MultiCoreSim<Box<dyn LlcScheme>>>();
         assert_send::<crate::RunSummary>();
+    }
+
+    #[test]
+    fn serve_batch_ahead_hints_each_stage_ahead_then_serves_in_order() {
+        #[derive(Debug, PartialEq)]
+        enum Step {
+            Hint(usize, usize),
+            Serve(usize),
+        }
+        use std::cell::RefCell;
+        use Step::{Hint, Serve};
+        let run = |n: usize| {
+            let mut batch = EventBatch::new();
+            for i in 0..n {
+                batch.push(10, LineAddr(i as u64), false);
+            }
+            let mut uncore = Uncore::new(crate::SystemConfig::four_core());
+            let mut clock = BatchClock::new(0.0, 1.0, 2.0, 0);
+            let mut out = Vec::new();
+            let mut log = RefCell::new(Vec::new());
+            serve_batch_ahead(
+                &mut log,
+                &batch,
+                &mut clock,
+                &mut uncore,
+                &mut out,
+                [3, 1],
+                |log, stage, j| log.borrow_mut().push(Hint(stage, j)),
+                |log, i, _| {
+                    log.get_mut().push(Serve(i));
+                    LlcResponse {
+                        latency: i as f64,
+                        outcome: LlcOutcome::Hit,
+                    }
+                },
+            );
+            let latencies: Vec<f64> = out.iter().map(|r| r.latency).collect();
+            assert_eq!(latencies, (0..n).map(|i| i as f64).collect::<Vec<_>>());
+            assert_eq!(uncore.interval_instructions[0], 10 * n as u64);
+            log.into_inner()
+        };
+        assert_eq!(run(0), vec![]);
+        #[rustfmt::skip]
+        assert_eq!(run(2), vec![
+            Hint(0, 0), Hint(0, 1), Hint(1, 0),
+            Hint(1, 1), Serve(0),
+            Serve(1),
+        ]);
+        #[rustfmt::skip]
+        assert_eq!(run(5), vec![
+            Hint(0, 0), Hint(0, 1), Hint(0, 2), Hint(1, 0),
+            Hint(0, 3), Hint(1, 1), Serve(0),
+            Hint(0, 4), Hint(1, 2), Serve(1),
+            Hint(1, 3), Serve(2),
+            Hint(1, 4), Serve(3),
+            Serve(4),
+        ]);
     }
 
     #[test]
