@@ -40,7 +40,7 @@ fn main() {
     println!();
     let mut curves = Vec::new();
     for (i, d) in descs.iter().enumerate() {
-        let c = MissCurve::from_histogram(stacks[i].histogram(), instrs, 1024)
+        let c = MissCurve::from_histogram(&stacks[i].histogram(), instrs, 1024)
             .resized(total_granules + 1)
             .monotonized();
         print!("{:>10}", d.name);

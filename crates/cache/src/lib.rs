@@ -13,9 +13,6 @@
 //!   several virtual caches.
 //! * [`UtilityMonitor`] — the GMON model: a sampled stack-distance monitor
 //!   that yields per-interval [`wp_mrc::MissCurve`]s with EWMA ageing.
-//! * [`U64Map`] — the open-addressing `u64`-keyed table behind
-//!   [`LruCache`]'s index and the NUCA page map, with a
-//!   [`prefetch`](U64Map::prefetch) hint for batched access loops.
 //!
 //! # Example
 //!
@@ -29,8 +26,8 @@
 //! // 3 evicts 2 (LRU), not 1.
 //! assert!(matches!(c.access(3), AccessOutcome::Miss { evicted: Some(2) }));
 //! ```
-// `deny` rather than `forbid`: `prefetch` scopes a single allow around
-// the `_mm_prefetch` intrinsic (a pure hint — no memory is dereferenced).
+// `deny` rather than `forbid`: `advise_hugepages` scopes a single allow
+// around its `madvise` call (a pure hint — no memory is changed).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -40,12 +37,10 @@ mod partitioned;
 mod policy;
 mod prefetch;
 mod setassoc;
-mod table;
 
 pub use lru::{AccessOutcome, LruCache};
 pub use monitor::{MonitorConfig, UtilityMonitor};
 pub use partitioned::PartitionedCache;
 pub use policy::{DrripPolicy, LruPolicy, RandomPolicy, ReplacementPolicy, SrripPolicy};
-pub use prefetch::{advise_hugepages, prefetch_read};
+pub use prefetch::advise_hugepages;
 pub use setassoc::{CacheStats, SetAssocCache};
-pub use table::U64Map;

@@ -1,6 +1,6 @@
 //! An exact-capacity LRU line store.
 
-use crate::table::U64Map;
+use wp_mrc::U64Map;
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -22,7 +22,7 @@ pub trait ReplacementPolicy: std::fmt::Debug {
     /// `(set, way)` was invalidated (made free).
     fn on_invalidate(&mut self, _set: usize, _way: usize) {}
     /// Hint the host to pull `set`'s replacement state toward L1 (see
-    /// [`crate::prefetch_read`]). A pure performance hint — must not
+    /// [`wp_mrc::prefetch_read`]). A pure performance hint — must not
     /// change any observable policy state. Default: nothing.
     fn prefetch(&self, _set: usize) {}
 }
@@ -148,8 +148,8 @@ impl ReplacementPolicy for LruPolicy {
         } else {
             // A set's stamps are 8 B × ways, contiguous: hint both ends.
             let base = set * self.ways;
-            crate::prefetch_read(&self.stamp[base]);
-            crate::prefetch_read(&self.stamp[base + self.ways - 1]);
+            wp_mrc::prefetch_read(&self.stamp[base]);
+            wp_mrc::prefetch_read(&self.stamp[base + self.ways - 1]);
         }
     }
 }
@@ -248,7 +248,7 @@ impl ReplacementPolicy for SrripPolicy {
 
     fn prefetch(&self, set: usize) {
         // A set's RRPVs are 1 B × ways: one line covers them.
-        crate::prefetch_read(&self.rrpv[set * self.ways]);
+        wp_mrc::prefetch_read(&self.rrpv[set * self.ways]);
     }
 }
 
@@ -361,7 +361,7 @@ impl ReplacementPolicy for DrripPolicy {
     }
 
     fn prefetch(&self, set: usize) {
-        crate::prefetch_read(&self.rrpv[set * self.ways]);
+        wp_mrc::prefetch_read(&self.rrpv[set * self.ways]);
     }
 }
 

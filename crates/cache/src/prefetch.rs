@@ -1,36 +1,16 @@
-//! Software prefetch hint, for batched scheme loops.
+//! Huge-page advice for the large bank arrays.
 //!
 //! Bank tag/replacement arrays are tens of megabytes and accessed in a
-//! hash-scattered order, so simulating one LLC access is latency-bound on
-//! the *host's* cache hierarchy. A scheme that can see a batch of upcoming
-//! events hides that latency by hinting the tag lines of event `i + k`
-//! while serving event `i` — see `LlcScheme::access_batch` in `wp-sim`.
-
-/// Hints the host CPU to pull the cache line containing `r` toward L1.
-///
-/// Purely a performance hint: no memory is read or written, and the
-/// function is a no-op on architectures without a prefetch intrinsic.
-#[inline(always)]
-pub fn prefetch_read<T: ?Sized>(r: &T) {
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)]
-    // SAFETY: `_mm_prefetch` only hints the address to the hardware
-    // prefetcher; it performs no access and has no side effects on
-    // program state, so any pointer value is sound to pass.
-    unsafe {
-        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(r as *const T as *const i8);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = r;
-}
+//! hash-scattered order; batched scheme loops hide the host-cache misses
+//! with [`wp_mrc::prefetch_read`], which only works if the pages those
+//! hints land on are in the TLB.
 
 /// Advises the kernel to back `v`'s buffer with transparent huge pages.
 ///
 /// Bank tag/stamp arrays total tens of MB probed in hash-scattered order;
 /// on 4 KB pages that overwhelms the host TLB, and x86 drops software
-/// prefetches that miss the DTLB — defeating [`prefetch_read`] exactly
-/// where it matters. Call this right after reserving a large buffer,
+/// prefetches that miss the DTLB — defeating [`wp_mrc::prefetch_read`]
+/// exactly where it matters. Call this right after reserving a large buffer,
 /// *before* first touch, so the pages fault in huge.
 ///
 /// Purely a performance hint: contents and semantics are unaffected, any
@@ -83,19 +63,5 @@ mod tests {
         let mut empty: Vec<u8> = Vec::new();
         advise_hugepages(&mut empty);
         assert_eq!(empty.len(), 0);
-    }
-
-    #[test]
-    fn prefetch_is_inert() {
-        // Only observable property: it doesn't crash or alter data, at
-        // any alignment.
-        let data = [1u8; 256];
-        for byte in &data {
-            prefetch_read(byte);
-        }
-        let v = vec![42u64; 1024];
-        prefetch_read(&v[1023]);
-        assert_eq!(data[128], 1);
-        assert_eq!(v[0], 42);
     }
 }

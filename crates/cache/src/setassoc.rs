@@ -162,7 +162,7 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         // lines. Hint every line of the span.
         let mut w = 0;
         while w < self.ways {
-            crate::prefetch_read(&self.tags[base + w]);
+            wp_mrc::prefetch_read(&self.tags[base + w]);
             w += 8;
         }
         self.policy.prefetch(set);

@@ -10,8 +10,9 @@
 
 use std::collections::HashMap;
 
-use wp_cache::{MonitorConfig, PartitionedCache, U64Map};
+use wp_cache::{MonitorConfig, PartitionedCache};
 use wp_mem::{LineAddr, PageId, VcId};
+use wp_mrc::U64Map;
 use wp_noc::CoreId;
 use wp_sim::{
     serve_batch_ahead, AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme,

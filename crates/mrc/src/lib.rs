@@ -22,6 +22,10 @@
 //! * [`LatencyCurve`] — Jigsaw's end-to-end latency model: access rate ×
 //!   access latency plus miss rate × miss penalty, with optional bypassing
 //!   at zero capacity (Whirlpool's Sec. 3.2/3.3 extension).
+//! * [`U64Map`] — the open-addressing `u64`-keyed table behind
+//!   [`MattsonStack`]'s last-access times, the cache crate's LRU index
+//!   and the NUCA page map, with a [`prefetch`](U64Map::prefetch) hint
+//!   ([`prefetch_read`]) for batched access loops.
 //!
 //! # Example
 //!
@@ -42,7 +46,10 @@
 //! // With at least 4 lines of capacity, only the cold misses remain.
 //! assert!(curve.mpki_at(4) <= curve.mpki_at(0));
 //! ```
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: `prefetch_read` scopes a single allow
+// around the `_mm_prefetch` intrinsic (a pure hint — no memory is
+// dereferenced).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod combine;
@@ -53,7 +60,9 @@ mod hull;
 mod latency;
 mod mattson;
 mod partition;
+mod prefetch;
 mod shards;
+mod table;
 mod trace;
 
 pub use combine::{combine_many, combine_miss_curves};
@@ -68,7 +77,9 @@ pub use mattson::{MattsonStack, SampledStack};
 pub use partition::{
     partition_capacity, partition_capacity_hulled, partitioned_curve, PartitionOutcome,
 };
+pub use prefetch::prefetch_read;
 pub use shards::{ShardsConfig, ShardsStack, SHARDS_MODULUS};
+pub use table::U64Map;
 pub use trace::{
     curve_from_trace, curve_from_trace_sampled, histogram_from_trace, histogram_from_trace_sampled,
     profile_streams, profile_streams_scanned, ProfileMode, StreamProfile,

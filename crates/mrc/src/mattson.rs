@@ -1,48 +1,57 @@
 //! Exact and sampled LRU stack-distance profiling (Mattson's algorithm).
 
 use crate::curve::MissCurve;
-use crate::fxmap::FastMap;
 use crate::histogram::StackDistanceHistogram;
+use crate::table::U64Map;
 
-/// A Fenwick (binary-indexed) tree over access timestamps, used to count the
-/// number of distinct lines touched since a given time in `O(log n)`.
+/// The set of live access timestamps: one presence bit per timestamp plus
+/// a Fenwick (binary-indexed) tree over the popcounts of the 64-bit words,
+/// so counting the live timestamps up to `t` costs one `O(log(n / 64))`
+/// walk and one popcount.
 ///
-/// Keeps a shadow array of point values so the tree can be rebuilt exactly
-/// when it grows (zero-extending a Fenwick array is incorrect once prefix
-/// queries cross the old boundary).
-#[derive(Debug, Clone, Default)]
-struct Fenwick {
+/// The bitmap is the source of truth: growth and compaction rebuild the
+/// tree from word popcounts in `O(n / 64)` (zero-extending a Fenwick array
+/// is incorrect once prefix queries cross the old boundary).
+#[derive(Debug, Clone)]
+struct PresenceSet {
+    /// Bit `t % 64` of word `t / 64` is set iff timestamp `t` is live.
+    bits: Vec<u64>,
+    /// 1-based Fenwick tree over `bits[w].count_ones()`, one entry longer
+    /// than `bits`.
     tree: Vec<u32>,
-    vals: Vec<u32>,
 }
 
-impl Fenwick {
+impl PresenceSet {
+    /// An empty set with room for timestamps `0..n`.
     fn with_capacity(n: usize) -> Self {
+        let words = n.div_ceil(64).max(1);
         Self {
-            tree: vec![0; n + 1],
-            vals: vec![0; n],
+            bits: vec![0; words],
+            tree: vec![0; words + 1],
         }
     }
 
-    /// Returns `true` when the tree had to reallocate (the caller counts
-    /// these; a properly pre-sized profiler never grows).
+    /// Makes room for timestamps `0..n`. Returns `true` when it had to
+    /// reallocate (the caller counts these; a properly pre-sized profiler
+    /// never grows).
     fn grow_to(&mut self, n: usize) -> bool {
-        if n <= self.vals.len() {
+        if n <= self.bits.len() * 64 {
             return false;
         }
-        let new_len = (n + 1).next_power_of_two();
-        self.vals.resize(new_len, 0);
-        self.tree = vec![0; new_len + 1];
+        let words = (n + 1).next_power_of_two().div_ceil(64);
+        self.bits.resize(words, 0);
+        self.tree.resize(words + 1, 0);
         self.build_tree();
         true
     }
 
-    /// O(len) Fenwick build from `vals`: push each node's partial sum to
-    /// its parent. `tree` must already be zeroed.
+    /// `O(words)` Fenwick build from the word popcounts: each node pushes
+    /// its partial sum to its parent.
     fn build_tree(&mut self) {
-        let len = self.vals.len();
+        self.tree.fill(0);
+        let len = self.bits.len();
         for i in 1..=len {
-            self.tree[i] += self.vals[i - 1];
+            self.tree[i] += self.bits[i - 1].count_ones();
             let parent = i + (i & i.wrapping_neg());
             if parent <= len {
                 let v = self.tree[i];
@@ -51,43 +60,66 @@ impl Fenwick {
         }
     }
 
-    /// Resets the tree *in place* to `1` at ranks `0..n` and `0` above —
-    /// the shape timestamp compaction needs — growing only if `n` exceeds
-    /// the current capacity. Returns `true` on a reallocation.
-    fn rebuild_ones(&mut self, n: usize) -> bool {
-        let grew = if n > self.vals.len() {
-            let new_len = (n + 1).next_power_of_two();
-            self.vals.resize(new_len, 0);
-            self.tree.resize(new_len + 1, 0);
-            true
-        } else {
-            false
-        };
-        self.vals[..n].fill(1);
-        self.vals[n..].fill(0);
-        self.tree.fill(0);
-        self.build_tree();
-        grew
-    }
-
-    fn add(&mut self, i: usize, delta: i32) {
-        self.vals[i] = (self.vals[i] as i64 + delta as i64) as u32;
-        let mut i = i + 1;
+    /// Adds `delta` (`1`, or `u32::MAX` for −1) to word `w`'s count.
+    #[inline]
+    fn tree_add(&mut self, w: usize, delta: u32) {
+        let mut i = w + 1;
         while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i64 + delta as i64) as u32;
+            self.tree[i] = self.tree[i].wrapping_add(delta);
             i += i & i.wrapping_neg();
         }
     }
 
-    /// Sum of `[0, i]`.
-    fn prefix(&self, mut i: usize) -> u64 {
-        i += 1;
+    #[inline]
+    fn insert(&mut self, t: usize) {
+        self.bits[t / 64] |= 1 << (t % 64);
+        self.tree_add(t / 64, 1);
+    }
+
+    #[inline]
+    fn remove(&mut self, t: usize) {
+        self.bits[t / 64] &= !(1 << (t % 64));
+        self.tree_add(t / 64, u32::MAX);
+    }
+
+    /// Live timestamps in `[0, t]`.
+    #[inline]
+    fn rank(&self, t: usize) -> u64 {
+        let w = t / 64;
+        let mut i = w;
         let mut s = 0u64;
         while i > 0 {
-            s += self.tree[i] as u64;
+            s += u64::from(self.tree[i]);
             i -= i & i.wrapping_neg();
         }
-        s
+        let through_t = u64::MAX >> (63 - t % 64);
+        s + u64::from((self.bits[w] & through_t).count_ones())
+    }
+
+    /// Renumbers the `live` timestamps `0..live`, keeping their order:
+    /// every value `times` yields becomes the number of live timestamps
+    /// below it, and the set becomes exactly `0..live`. `times` must yield
+    /// each live timestamp once.
+    fn compact<'a>(&mut self, times: impl Iterator<Item = &'a mut u32>, live: usize) {
+        // Live timestamps below each word, held in the tree's storage
+        // (rebuilt below).
+        let mut below = 0u32;
+        for (w, word) in self.bits.iter().enumerate() {
+            self.tree[w] = below;
+            below += word.count_ones();
+        }
+        debug_assert_eq!(below as usize, live);
+        for t in times {
+            let (w, b) = (*t as usize / 64, *t % 64);
+            *t = self.tree[w] + (self.bits[w] & ((1u64 << b) - 1)).count_ones();
+        }
+        let full = live / 64;
+        self.bits[..full].fill(u64::MAX);
+        self.bits[full..].fill(0);
+        if live % 64 != 0 {
+            self.bits[full] = (1u64 << (live % 64)) - 1;
+        }
+        self.build_tree();
     }
 }
 
@@ -95,10 +127,14 @@ impl Fenwick {
 ///
 /// Feed it line addresses with [`access`](MattsonStack::access); it returns
 /// the stack distance of each access (or `None` for a cold first touch) and
-/// accumulates a [`StackDistanceHistogram`]. The implementation is the
-/// classic timestamp + Fenwick-tree formulation: `O(log n)` per access,
-/// with periodic timestamp compaction so memory stays proportional to the
-/// number of *distinct* lines rather than total accesses.
+/// counts it towards a [`StackDistanceHistogram`]. The implementation is
+/// the classic timestamp formulation: each line's last access time lives
+/// in a [`U64Map`], and the set of live timestamps in a presence bitmap
+/// with a Fenwick tree over its words, so an access costs `O(log(n / 64))`.
+/// Periodic timestamp compaction keeps memory proportional to the number
+/// of *distinct* lines rather than total accesses. Distances are counted
+/// in a dense array indexed by distance (at most one entry per line ever
+/// live at once), and the sparse histogram is built only when read.
 ///
 /// # Example
 ///
@@ -111,15 +147,18 @@ impl Fenwick {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MattsonStack {
-    last_time: FastMap<u64, usize>,
-    present: Fenwick,
-    /// Reused compaction buffer of `(timestamp, line)` pairs, so
-    /// steady-state compaction allocates nothing.
-    scratch: Vec<(usize, u64)>,
+    /// Each live line's last access time.
+    last_time: U64Map<u32>,
+    /// The live lines' timestamps: exactly one per live line.
+    present: PresenceSet,
     time: usize,
     live: usize,
     reallocations: u64,
-    hist: StackDistanceHistogram,
+    /// `counts[d]`: recorded accesses at stack distance `d` (`counts[0]`
+    /// stays 0). Never longer than the largest distance seen plus one.
+    counts: Vec<u64>,
+    /// Recorded cold (first-touch) accesses.
+    cold: u64,
 }
 
 impl Default for MattsonStack {
@@ -133,39 +172,44 @@ impl MattsonStack {
     /// exceeds this multiple of the live set.
     const SLACK: usize = 4;
 
+    /// The largest live set whose time axis, at most
+    /// `max(2^16, SLACK · live)` long, still fits `u32` timestamps.
+    const MAX_LIVE: usize = u32::MAX as usize / Self::SLACK;
+
     /// Creates an empty profiler.
     pub fn new() -> Self {
         Self {
-            last_time: FastMap::default(),
-            present: Fenwick::with_capacity(1 << 12),
-            scratch: Vec::new(),
+            last_time: U64Map::new(),
+            present: PresenceSet::with_capacity(1 << 12),
             time: 0,
             live: 0,
             reallocations: 0,
-            hist: StackDistanceHistogram::new(),
+            counts: Vec::new(),
+            cold: 0,
         }
     }
 
     /// Creates a profiler pre-sized for a stream expected to touch up to
     /// `expected_lines` distinct lines — e.g. a recorded trace's
-    /// [`line_span`](wp_trace::StreamInfo::line_span). The Fenwick tree
-    /// is sized for the worst pre-compaction time axis and the reuse map
-    /// for the full line set, so steady-state profiling performs zero
-    /// reallocations ([`reallocations`](Self::reallocations) stays 0) as
-    /// long as the estimate holds.
+    /// [`line_span`](wp_trace::StreamInfo::line_span). The presence set is
+    /// sized for the worst pre-compaction time axis, and the last-access
+    /// table and distance counts for the full line set, so steady-state
+    /// profiling performs zero reallocations
+    /// ([`reallocations`](Self::reallocations) stays 0) as long as the
+    /// estimate holds.
     pub fn with_line_capacity(expected_lines: usize) -> Self {
         let lines = expected_lines.max(1);
         // Timestamps compact once time >= max(2^16, SLACK * live), so the
         // time axis never exceeds that bound while `live <= lines`.
         let time_cap = (Self::SLACK * lines).max(1 << 16);
         Self {
-            last_time: FastMap::with_capacity_and_hasher(lines, Default::default()),
-            present: Fenwick::with_capacity(time_cap),
-            scratch: Vec::with_capacity(lines),
+            last_time: U64Map::with_capacity(lines),
+            present: PresenceSet::with_capacity(time_cap),
             time: 0,
             live: 0,
             reallocations: 0,
-            hist: StackDistanceHistogram::new(),
+            counts: Vec::with_capacity(lines + 1),
+            cold: 0,
         }
     }
 
@@ -177,8 +221,18 @@ impl MattsonStack {
     pub fn access(&mut self, line: u64) -> Option<u64> {
         let dist = self.distance(line);
         match dist {
-            Some(d) => self.hist.record(d),
-            None => self.hist.record_cold(),
+            Some(d) => {
+                // `d <= live`: at most one entry per live line, plus the
+                // unused slot 0.
+                let d = d as usize;
+                if d >= self.counts.len() {
+                    let cap = self.counts.capacity();
+                    self.counts.resize(d + 1, 0);
+                    self.reallocations += u64::from(self.counts.capacity() != cap);
+                }
+                self.counts[d] += 1;
+            }
+            None => self.cold += 1,
         }
         dist
     }
@@ -191,23 +245,34 @@ impl MattsonStack {
         self.maybe_compact();
         let t = self.time;
         self.reallocations += u64::from(self.present.grow_to(t + 1));
-        let dist = match self.last_time.insert(line, t) {
+        let table_cap = self.last_time.capacity();
+        let dist = match self.last_time.insert(line, t as u32) {
             Some(t0) => {
                 // Distinct lines touched strictly after t0, plus this line.
                 // Every live line has exactly one present timestamp, all
                 // before `t`, so the count in `(t0, t)` is `live` minus the
-                // prefix through `t0`.
-                debug_assert_eq!(self.present.prefix(t - 1), self.live as u64);
-                let between = self.live as u64 - self.present.prefix(t0);
-                self.present.add(t0, -1);
+                // rank of `t0`.
+                debug_assert_eq!(self.present.rank(t - 1), self.live as u64);
+                let t0 = t0 as usize;
+                let between = self.live as u64 - self.present.rank(t0);
+                self.present.remove(t0);
                 Some(between + 1)
             }
             None => {
+                // Compaction keeps the time axis below
+                // max(2^16, SLACK · live), so `t` fits a `u32` timestamp
+                // as long as the live set stays under MAX_LIVE.
+                assert!(
+                    self.live < Self::MAX_LIVE,
+                    "Mattson stack: more than {} live lines overflow u32 timestamps",
+                    Self::MAX_LIVE
+                );
                 self.live += 1;
+                self.reallocations += u64::from(self.last_time.capacity() != table_cap);
                 None
             }
         };
-        self.present.add(t, 1);
+        self.present.insert(t);
         self.time += 1;
         dist
     }
@@ -217,9 +282,10 @@ impl MattsonStack {
         self.live
     }
 
-    /// Buffer reallocations performed so far (Fenwick growths). A stack
-    /// built with [`with_line_capacity`](Self::with_line_capacity) whose
-    /// estimate holds reports 0 after any number of accesses.
+    /// Buffer reallocations performed so far (growths of the presence set,
+    /// the last-access table and the distance counts). A stack built with
+    /// [`with_line_capacity`](Self::with_line_capacity) whose estimate
+    /// holds reports 0 after any number of accesses.
     pub fn reallocations(&self) -> u64 {
         self.reallocations
     }
@@ -230,9 +296,9 @@ impl MattsonStack {
     /// (SHARDS-style rate adaptation). Returns whether the line was
     /// present.
     pub fn remove(&mut self, line: u64) -> bool {
-        match self.last_time.remove(&line) {
+        match self.last_time.remove(line) {
             Some(t0) => {
-                self.present.add(t0, -1);
+                self.present.remove(t0 as usize);
                 self.live -= 1;
                 true
             }
@@ -240,35 +306,30 @@ impl MattsonStack {
         }
     }
 
-    /// The accumulated histogram.
-    pub fn histogram(&self) -> &StackDistanceHistogram {
-        &self.hist
+    /// The accumulated histogram, built from the dense counts.
+    pub fn histogram(&self) -> StackDistanceHistogram {
+        StackDistanceHistogram::from_dense(&self.counts, self.cold)
     }
 
     /// Takes the histogram, leaving an empty one (the LRU stack itself is
     /// preserved, so reuse across interval boundaries is still seen).
     pub fn take_histogram(&mut self) -> StackDistanceHistogram {
-        std::mem::take(&mut self.hist)
+        let hist = self.histogram();
+        self.counts.clear();
+        self.cold = 0;
+        hist
     }
 
     /// Compacts timestamps when the time axis is much larger than the live
-    /// set, keeping the Fenwick tree small on long runs. Compaction reuses
-    /// the existing buffers (the Fenwick capacity is the high-water mark),
-    /// so a pre-sized stack compacts without allocating.
+    /// set, keeping the presence set small on long runs: each live line's
+    /// time becomes its rank, read off the presence bitmap, so compaction
+    /// neither sorts nor allocates.
     fn maybe_compact(&mut self) {
         if self.time < (1 << 16) || self.time < Self::SLACK * self.live.max(1) {
             return;
         }
-        self.scratch.clear();
-        self.scratch
-            .extend(self.last_time.iter().map(|(&a, &t)| (t, a)));
-        self.scratch.sort_unstable();
-        let n = self.scratch.len();
-        for (rank, &(_, addr)) in self.scratch.iter().enumerate() {
-            self.last_time.insert(addr, rank);
-        }
-        self.reallocations += u64::from(self.present.rebuild_ones(n));
-        self.time = n;
+        self.present.compact(self.last_time.values_mut(), self.live);
+        self.time = self.live;
     }
 }
 
@@ -472,7 +533,7 @@ mod tests {
             exact.access(i % 10);
             sampled.access(i % 10);
         }
-        assert_eq!(exact.histogram(), &sampled.histogram());
+        assert_eq!(exact.histogram(), sampled.histogram());
     }
 
     #[test]
@@ -523,5 +584,121 @@ mod tests {
         }
         assert_eq!(silent.histogram().total(), 0);
         assert_eq!(recording.histogram().total(), 10_000);
+    }
+
+    #[test]
+    fn counts_never_exceed_one_entry_per_live_line() {
+        let mut s = MattsonStack::new();
+        let mut x = 0x9E37_79B9u64;
+        for i in 0..100_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // A growing footprint with a skewed reuse pattern.
+            s.access(x % (1 + i / 64));
+            assert!(s.counts.len() <= s.distinct_lines() + 1);
+        }
+        assert!(s.counts.len() > 1000, "the footprint should have grown");
+    }
+
+    #[test]
+    fn presized_stack_never_reallocates_across_compactions() {
+        let lines = 5000u64;
+        let mut s = MattsonStack::with_line_capacity(lines as usize);
+        for i in 0..300_000u64 {
+            s.access(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % lines);
+        }
+        assert!(s.time < 300_000, "timestamps never compacted");
+        assert_eq!(s.reallocations(), 0);
+    }
+
+    #[test]
+    fn compaction_keeps_the_max_key_line() {
+        // `u64::MAX` lives outside `U64Map`'s slot array; compaction must
+        // renumber it too.
+        let mut s = MattsonStack::new();
+        for i in 0..70_000u64 {
+            s.access(u64::MAX - i % 3);
+        }
+        assert!(s.time < 70_000);
+        // The loop ended on `u64::MAX`; `u64::MAX - 1` was two before.
+        assert_eq!(s.access(u64::MAX - 1), Some(3));
+        assert_eq!(s.access(u64::MAX), Some(2));
+    }
+
+    /// Brute-force LRU stack, most recent first.
+    #[derive(Default)]
+    struct ListStack(Vec<u64>);
+
+    impl ListStack {
+        fn access(&mut self, line: u64) -> Option<u64> {
+            let pos = self.0.iter().position(|&l| l == line);
+            if let Some(p) = pos {
+                self.0.remove(p);
+            }
+            self.0.insert(0, line);
+            pos.map(|p| p as u64 + 1)
+        }
+
+        fn remove(&mut self, line: u64) -> bool {
+            let pos = self.0.iter().position(|&l| l == line);
+            if let Some(p) = pos {
+                self.0.remove(p);
+            }
+            pos.is_some()
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            /// Random traces over live sets of 63, 64 and 65 lines (one
+            /// either side of a presence-bit word), long enough to force
+            /// timestamp compaction, with removals mixed in: every
+            /// distance, the live count and the histogram match a
+            /// brute-force LRU list.
+            #[test]
+            fn matches_a_brute_force_lru_list(
+                lines_pick in 0usize..3,
+                seed in 0u64..u64::MAX,
+                accesses in (1usize << 16)..(3usize << 15),
+                remove_one_in in 2u64..200,
+            ) {
+                let lines = [63u64, 64, 65][lines_pick];
+                let mut x = seed | 1;
+                let mut stack = MattsonStack::new();
+                let mut list = ListStack::default();
+                let mut want = StackDistanceHistogram::new();
+                let (mut done, mut peak) = (0, 0);
+                while done < accesses {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    // Line 0 is `u64::MAX`, which `U64Map` stores apart.
+                    let line = u64::MAX - (x >> 8) % lines * 0x1_0001;
+                    if (x >> 40) % remove_one_in == 0 {
+                        prop_assert_eq!(stack.remove(line), list.remove(line));
+                        continue;
+                    }
+                    let d = list.access(line);
+                    prop_assert_eq!(stack.access(line), d);
+                    match d {
+                        Some(d) => want.record(d),
+                        None => want.record_cold(),
+                    }
+                    done += 1;
+                    peak = peak.max(list.0.len());
+                    prop_assert_eq!(stack.distinct_lines(), list.0.len());
+                    prop_assert!(stack.counts.len() <= peak + 1);
+                }
+                prop_assert!(stack.time < accesses, "timestamps never compacted");
+                prop_assert_eq!(stack.take_histogram(), want);
+                prop_assert_eq!(stack.histogram(), StackDistanceHistogram::new());
+            }
+        }
     }
 }

@@ -62,7 +62,9 @@ pub struct ShardsConfig {
 
 impl ShardsConfig {
     /// Exact profiling: rate 1, no cap. A [`ShardsStack`] so configured
-    /// produces histograms identical to a plain [`MattsonStack`].
+    /// produces histograms identical to a plain [`MattsonStack`] — it
+    /// records through that stack's integer counts (see
+    /// [`ShardsStack::access`]).
     pub fn exact() -> Self {
         Self {
             rate: 1.0,
@@ -164,7 +166,8 @@ pub struct ShardsStack {
     /// evicts the highest-hash line(s) in `O(log n)`.
     tracked: BinaryHeap<(u64, u64)>,
     /// Expanded distance → accumulated weight (each observation weighs
-    /// `1/R` at its recording time).
+    /// `1/R` at its recording time). Unused when every line is sampled
+    /// with no cap: then `inner` counts the distances itself.
     finite: std::collections::BTreeMap<u64, f64>,
     cold: f64,
     /// Every reference offered, sampled or not — the SHARDS_adj target.
@@ -195,8 +198,20 @@ impl ShardsStack {
 
     /// Processes one reference. Unsampled lines cost one hash; sampled
     /// lines drive the Mattson stack.
+    ///
+    /// At rate 1 with no cap ([`ShardsConfig::exact`]) every line is
+    /// sampled at weight 1.0 and no distance is expanded, and the
+    /// SHARDS_adj scale is exactly 1.0, so the expanded histogram equals
+    /// the inner stack's integer one: that mode records into the inner
+    /// stack's dense counts and skips the hash and the weighted map.
     pub fn access(&mut self, line: u64) {
         self.total_seen += 1;
+        if self.is_exact() {
+            if self.inner.access(line).is_none() {
+                self.peak_tracked = self.inner.distinct_lines();
+            }
+            return;
+        }
         let h = spatial_hash(line);
         if h >= self.threshold {
             return;
@@ -225,6 +240,12 @@ impl ShardsStack {
                 }
             }
         }
+    }
+
+    /// Whether every line is sampled, at weight 1, for good: rate 1 and
+    /// no cap to lower it.
+    fn is_exact(&self) -> bool {
+        self.threshold == SHARDS_MODULUS && self.config.s_max.is_none()
     }
 
     /// Drops the tracked line(s) with the highest hash and lowers the
@@ -295,6 +316,9 @@ impl ShardsStack {
     /// conservative all-miss curve — rather than coming back empty and
     /// masquerading as an all-hit stream.
     pub fn snapshot_histogram(&self) -> StackDistanceHistogram {
+        if self.is_exact() {
+            return self.inner.histogram();
+        }
         let mut cold = self.cold;
         let mut buckets: Vec<(u64, f64)> = self.finite.iter().map(|(&d, &w)| (d, w)).collect();
         let expanded: f64 = cold + buckets.iter().map(|&(_, w)| w).sum::<f64>();
@@ -334,7 +358,11 @@ impl ShardsStack {
     /// reuse across interval boundaries is still seen — matching
     /// [`MattsonStack::take_histogram`]).
     pub fn take_histogram(&mut self) -> StackDistanceHistogram {
-        let hist = self.snapshot_histogram();
+        let hist = if self.is_exact() {
+            self.inner.take_histogram()
+        } else {
+            self.snapshot_histogram()
+        };
         self.finite.clear();
         self.cold = 0.0;
         self.total_seen = 0;
@@ -360,16 +388,26 @@ mod tests {
 
     use crate::histogram::max_miss_ratio_error as max_mr_err;
 
+    /// Two intervals, so the second checks the counts reset while the
+    /// stack carries over.
     #[test]
     fn rate_one_matches_exact_mattson_exactly() {
-        let trace = xorshift_stream(20_000, 700);
+        let trace = xorshift_stream(30_000, 900);
         let mut exact = MattsonStack::new();
         let mut shards = ShardsStack::new(ShardsConfig::exact());
-        for &l in &trace {
-            exact.access(l);
-            shards.access(l);
+        for interval in trace.chunks(12_000).take(2) {
+            for &l in interval {
+                exact.access(l);
+                shards.access(l);
+            }
+            assert_eq!(shards.total_seen(), interval.len() as u64);
+            assert_eq!(shards.tracked(), exact.distinct_lines());
+            assert_eq!(shards.peak_tracked(), exact.distinct_lines());
+            assert_eq!(shards.snapshot_histogram(), exact.histogram());
+            assert_eq!(shards.take_histogram(), exact.take_histogram());
+            assert_eq!(shards.total_seen(), 0);
         }
-        assert_eq!(exact.take_histogram(), shards.take_histogram());
+        assert_eq!(shards.rate(), 1.0);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! An open-addressing hash table keyed by `u64`, with a prefetch hint.
 //!
 //! The simulator's per-access state — an LRU partition's line index, the
-//! NUCA runtime's page map — is a `u64`-keyed map probed in a
-//! hash-scattered order, so one lookup is usually a host-cache miss.
+//! NUCA runtime's page map, a Mattson stack's last-access times — is a
+//! `u64`-keyed map probed in a hash-scattered order, so one lookup is
+//! usually a host-cache miss.
 //! `std`'s map hides where a key lives; [`U64Map`] keeps its slots in one
 //! flat array and exposes [`prefetch`](U64Map::prefetch), so a batched
 //! scheme loop can pull in the slot of event `i + k` while it serves event
@@ -11,8 +12,8 @@
 //! Linear probing over interleaved `(key, value)` slots: a hit usually
 //! touches one 64 B line. Deletion shifts the following cluster back, so
 //! the table never accumulates tombstones however long an LRU partition
-//! churns. The table starts empty and doubles on demand; it is never
-//! presized.
+//! churns. The table starts empty (or presized, for a Mattson stack that
+//! knows its footprint) and doubles on demand.
 
 /// Marks an empty slot. The key `u64::MAX` itself lives outside the slot
 /// array, in [`U64Map::max_key`], so it never collides with this marker.
@@ -44,7 +45,7 @@ fn mix(key: u64) -> u64 {
 /// # Example
 ///
 /// ```
-/// use wp_cache::U64Map;
+/// use wp_mrc::U64Map;
 ///
 /// let mut m = U64Map::new();
 /// assert_eq!(m.insert(7, 'a'), None);
@@ -79,6 +80,22 @@ impl<V: Copy + Default> U64Map<V> {
             used: 0,
             max_key: None,
         }
+    }
+
+    /// Creates an empty map that holds `n` entries before it first grows.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        let mut m = Self::new();
+        if n > 0 {
+            let slots = (n * 4).div_ceil(3).next_power_of_two().max(MIN_SLOTS);
+            m.slots = vec![(EMPTY, V::default()); slots];
+        }
+        m
+    }
+
+    /// Keys the slot array holds before it next grows (the key
+    /// `u64::MAX` is stored apart and never makes it grow).
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.len() * 3 / 4
     }
 
     /// Number of entries.
@@ -127,7 +144,7 @@ impl<V: Copy + Default> U64Map<V> {
     #[inline]
     pub fn prefetch(&self, key: u64) {
         if !self.slots.is_empty() {
-            crate::prefetch_read(&self.slots[self.home(key)]);
+            crate::prefetch::prefetch_read(&self.slots[self.home(key)]);
         }
     }
 
@@ -208,6 +225,15 @@ impl<V: Copy + Default> U64Map<V> {
         Some(value)
     }
 
+    /// Every value, for in-place update, in unspecified order.
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.slots
+            .iter_mut()
+            .filter(|s| s.0 != EMPTY)
+            .map(|s| &mut s.1)
+            .chain(self.max_key.as_mut())
+    }
+
     /// Stores a key known to be absent, with room guaranteed.
     fn place(&mut self, key: u64, value: V) {
         let mask = self.mask();
@@ -263,6 +289,38 @@ mod tests {
             assert_eq!(m.get(k).copied(), (k % 2 == 1).then_some(k as u32));
         }
         assert_eq!(m.len(), 500);
+    }
+
+    #[test]
+    fn presized_map_holds_its_capacity_without_growing() {
+        for n in [1usize, 6, 7, 1000] {
+            let mut m = U64Map::with_capacity(n);
+            let cap = m.capacity();
+            assert!(cap >= n, "{n}: capacity {cap}");
+            for k in 0..n as u64 {
+                m.insert(k, 0u32);
+            }
+            m.insert(u64::MAX, 0);
+            assert_eq!(m.capacity(), cap, "{n}: grew");
+            assert_eq!(m.len(), n + 1);
+        }
+    }
+
+    #[test]
+    fn values_mut_visits_every_value_once() {
+        let mut m = U64Map::new();
+        for k in 0..100u64 {
+            m.insert(k * 7, k as u32);
+        }
+        m.insert(u64::MAX, 100);
+        for v in m.values_mut() {
+            *v += 1;
+        }
+        for k in 0..100u64 {
+            assert_eq!(m.get(k * 7), Some(&(k as u32 + 1)));
+        }
+        assert_eq!(m.get(u64::MAX), Some(&101));
+        assert_eq!(m.values_mut().count(), 101);
     }
 
     #[test]

@@ -125,7 +125,7 @@ proptest! {
         for &a in &trace {
             s.access(a);
         }
-        let c = MissCurve::from_histogram(s.histogram(), 1_000, 4);
+        let c = MissCurve::from_histogram(&s.histogram(), 1_000, 4);
         prop_assert!(c.is_monotone());
         // Full-capacity misses equal cold misses.
         let cold_mpki = s.histogram().cold_misses() as f64;

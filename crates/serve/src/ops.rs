@@ -694,9 +694,9 @@ fn profile_text(
     out
 }
 
-/// `obs <app|file>`: one run with the observability probes attached,
-/// JSONL timeline out (or, with `--obs-out`, written server-side with
-/// the summary returned).
+/// `obs <app|file>`: one run with the observability probes attached and
+/// the metrics registry enabled, JSONL timeline out (or, with
+/// `--obs-out`, written server-side with the summary returned).
 ///
 /// # Errors
 ///
@@ -743,6 +743,9 @@ pub fn obs(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
         &args,
         ctx,
     )?;
+    // The closing `metrics` line snapshots the registry; without this
+    // it reads all zeros unless `WP_OBS=1` happened to be set.
+    wp_obs::enable();
     let run = exp.run_full().map_err(|e| e.to_string())?;
     let report = run.obs.as_ref().expect("observe() attaches a report");
     match out {

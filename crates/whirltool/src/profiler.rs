@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use wp_mem::{CallpointId, PageId};
-use wp_mrc::{MissCurve, ShardsConfig, ShardsStack};
+use wp_mrc::{FastMap, MissCurve, ShardsConfig, ShardsStack};
 use wp_sim::Workload;
 
 /// Profiler configuration.
@@ -93,9 +93,15 @@ pub fn profile(
 ) -> ProfileData {
     let _span = wp_obs::span(wp_obs::Phase::Profile);
     const UNKNOWN: CallpointId = CallpointId(0);
-    let mut stacks: HashMap<CallpointId, ShardsStack> = HashMap::new();
+    // Every event looks up its page and then its callpoint: hash both
+    // with `FxHasher`, not the caller's SipHash, and keep a callpoint's
+    // stack and access count in one entry.
+    let page_map: FastMap<PageId, CallpointId> = page_to_callpoint
+        .iter()
+        .map(|(&page, &cp)| (page, cp))
+        .collect();
+    let mut stacks: FastMap<CallpointId, (ShardsStack, u64)> = FastMap::default();
     let mut order: Vec<CallpointId> = Vec::new();
-    let mut accesses: HashMap<CallpointId, u64> = HashMap::new();
     let mut intervals = Vec::new();
     let mut instrs = 0u64;
     let mut interval_instrs = 0u64;
@@ -103,16 +109,13 @@ pub fn profile(
         let Some(ev) = trace.next_event() else { break };
         instrs += ev.gap_instrs as u64;
         interval_instrs += ev.gap_instrs as u64;
-        let cp = page_to_callpoint
-            .get(&ev.line.page())
-            .copied()
-            .unwrap_or(UNKNOWN);
-        let stack = stacks.entry(cp).or_insert_with(|| {
+        let cp = page_map.get(&ev.line.page()).copied().unwrap_or(UNKNOWN);
+        let (stack, accesses) = stacks.entry(cp).or_insert_with(|| {
             order.push(cp);
-            cfg.stack()
+            (cfg.stack(), 0)
         });
         stack.access(ev.line.0);
-        *accesses.entry(cp).or_insert(0) += 1;
+        *accesses += 1;
         if interval_instrs >= cfg.interval_instrs {
             intervals.push(flush_interval(&mut stacks, interval_instrs, cfg));
             interval_instrs = 0;
@@ -124,7 +127,7 @@ pub fn profile(
     ProfileData {
         callpoints: order,
         intervals,
-        accesses,
+        accesses: stacks.iter().map(|(&cp, &(_, n))| (cp, n)).collect(),
     }
 }
 
@@ -161,12 +164,12 @@ pub fn profile_trace_file(
 }
 
 fn flush_interval(
-    stacks: &mut HashMap<CallpointId, ShardsStack>,
+    stacks: &mut FastMap<CallpointId, (ShardsStack, u64)>,
     instrs: u64,
     cfg: ProfilerConfig,
 ) -> HashMap<CallpointId, MissCurve> {
     let mut out = HashMap::new();
-    for (&cp, stack) in stacks.iter_mut() {
+    for (&cp, (stack, _)) in stacks.iter_mut() {
         let hist = stack.take_histogram();
         if hist.total() == 0 {
             continue;
@@ -236,6 +239,90 @@ mod tests {
         // Streaming structure: flat-ish (all cold).
         let cold = &data.intervals[1][&CallpointId(2)];
         assert!(cold.mpki_at(31) > 0.8 * cold.at_zero());
+    }
+
+    /// Three mapped structures (hot, reused, streaming) plus unmapped
+    /// pages, with uneven instruction gaps.
+    fn mixed_trace() -> impl Workload {
+        let mut i = 0u64;
+        let mut x = 0x1234_5678u64;
+        move || {
+            i += 1;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let line = match x % 4 {
+                0 => (x >> 40) % 256,
+                1 => 100_000 + (x >> 20) % 20_000,
+                2 => 200_000 + i,
+                _ => 5_000_000 + (x >> 30) % 3000,
+            };
+            Some(TraceEvent {
+                gap_instrs: 1 + (x >> 50) as u32 % 40,
+                line: LineAddr(line),
+                is_write: false,
+            })
+        }
+    }
+
+    #[test]
+    fn exact_profile_equals_one_mattson_stack_per_callpoint() {
+        use wp_mrc::MattsonStack;
+        let cfg = ProfilerConfig {
+            interval_instrs: 60_000,
+            total_instrs: 400_000,
+            granule_lines: 64,
+            curve_points: 64,
+            sample: None,
+        };
+        let map = page_map();
+        let data = profile(&mut mixed_trace(), &map, cfg);
+
+        // The reference: the same events, one plain stack per callpoint.
+        let mut stacks: HashMap<CallpointId, MattsonStack> = HashMap::new();
+        let mut accesses: HashMap<CallpointId, u64> = HashMap::new();
+        let mut want = Vec::new();
+        let flush = |stacks: &mut HashMap<CallpointId, MattsonStack>, instrs: u64| {
+            let mut out = HashMap::new();
+            for (&cp, stack) in stacks.iter_mut() {
+                let hist = stack.take_histogram();
+                if hist.total() > 0 {
+                    let curve = MissCurve::from_histogram(&hist, instrs, cfg.granule_lines)
+                        .resized(cfg.curve_points)
+                        .monotonized();
+                    out.insert(cp, curve);
+                }
+            }
+            out
+        };
+        let mut trace = mixed_trace();
+        let (mut instrs, mut interval) = (0u64, 0u64);
+        while instrs < cfg.total_instrs {
+            let ev = trace.next_event().unwrap();
+            instrs += u64::from(ev.gap_instrs);
+            interval += u64::from(ev.gap_instrs);
+            let cp = map.get(&ev.line.page()).copied().unwrap_or(CallpointId(0));
+            stacks.entry(cp).or_default().access(ev.line.0);
+            *accesses.entry(cp).or_default() += 1;
+            if interval >= cfg.interval_instrs {
+                want.push(flush(&mut stacks, interval));
+                interval = 0;
+            }
+        }
+        if interval > 0 {
+            want.push(flush(&mut stacks, interval));
+        }
+
+        assert_eq!(data.accesses, accesses);
+        assert_eq!(data.callpoints.len(), 3);
+        assert_eq!(data.intervals.len(), want.len());
+        let bits = |c: &MissCurve| c.points().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        for (got, want) in data.intervals.iter().zip(&want) {
+            assert_eq!(got.len(), want.len());
+            for (cp, curve) in want {
+                assert_eq!(bits(&got[cp]), bits(curve), "{cp:?}");
+            }
+        }
     }
 
     #[test]

@@ -786,8 +786,9 @@ pub struct ObsReport {
 impl ObsReport {
     /// The report as JSONL: `pool_sample` and `reconfig` lines merged in
     /// cycle order, closed by one `metrics` line carrying the scheme name
-    /// and the metrics-registry snapshot (all zeros unless `WP_OBS=1` /
-    /// [`wp_obs::enable`]).
+    /// and the metrics-registry snapshot. `trace_tool obs` enables the
+    /// registry before its run; other callers read all zeros there unless
+    /// `WP_OBS=1` is set or they call [`wp_obs::enable`] first.
     pub fn to_jsonl(&self, scheme: &str) -> String {
         let mut lines: Vec<(u64, String)> = self
             .timeline
